@@ -220,8 +220,7 @@ def _score_partitions(individuals, labels, parts_with_seeds, select="min") -> di
     }
 
 
-def _spectral_record(individuals, social, labels, alpha, sigma, k, runs, base_seed) -> dict:
-    graph = build_weight_matrix(individuals, social, alpha, sigma)
+def _spectral_record(individuals, labels, graph, k, runs, base_seed) -> dict:
     emb = embed(graph, k)
     parts = [(base_seed + r, kmeans(emb.coords, k, base_seed + r)) for r in range(runs)]
     return _score_partitions(individuals, labels, parts)
@@ -260,9 +259,8 @@ def cmd_spectral(args) -> int:
     individuals, social, labels = _load_labeled(args.dataset)
     sigma = compute_sigma(individuals, social)
     record = {"alpha": args.alpha}
-    record.update(_spectral_record(
-        individuals, social, labels, args.alpha, sigma, args.k, args.runs, args.seed
-    ))
+    graph = build_weight_matrix(individuals, social, args.alpha, sigma)
+    record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
     report = {
         "command": "spectral",
         "config": {
@@ -289,9 +287,8 @@ def cmd_sweep_alpha(args) -> int:
 
     def one(alpha):
         record = {"alpha": alpha}
-        record.update(_spectral_record(
-            individuals, social, labels, alpha, sigma, args.k, args.runs, args.seed
-        ))
+        graph = build_weight_matrix(individuals, social, alpha, sigma)
+        record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
         return record
 
     records = _map_grid(one, sorted(alphas))
@@ -420,9 +417,8 @@ def cmd_gt_sweep(args) -> int:
         gt_seed = args.seed + GT_SEED_STRIDE * (index + 1)
         gt = gt_matrix(labels, GtParams(p=p, q=q, seed=gt_seed))
         record = {"q": q, "alpha": alpha, "p": p, "gt_seed": gt_seed}
-        record.update(_spectral_record(
-            individuals, gt, labels, alpha, sigma, args.k, args.runs, args.seed
-        ))
+        graph = build_weight_matrix(individuals, gt, alpha, sigma)
+        record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
         return record
 
     records = _map_grid(one, enumerate(grid))
@@ -468,9 +464,7 @@ def cmd_baselines(args) -> int:
         record = {"alpha": alpha}
         record.update(_score_partitions(individuals, labels, parts))
         spectral = {"alpha": alpha}
-        spectral.update(_spectral_record(
-            individuals, social, labels, alpha, sigma, args.k, args.runs, args.seed
-        ))
+        spectral.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
         return record, spectral
 
     paired = _map_grid(one, alphas)

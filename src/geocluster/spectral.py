@@ -149,8 +149,14 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
           max_iter: int = KMEANS_MAX_ITER) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations from explicit initial centers.
 
-    Returns (assignment, centers, objective). The objective (total squared
-    distance to assigned centers) is asserted nonincreasing every iteration.
+    Returns (assignment, centers, objective). Each point is assigned to the
+    center minimizing ||c||^2 - 2 x.c, which is ||x - c||^2 less the row
+    constant ||x||^2, so the cross term for all pairs is one (n, k) GEMM.
+    The objective (total squared distance to assigned centers) is then
+    recomputed exactly as sum((x - c_assign)^2) and asserted nonincreasing
+    every iteration; the same exact distances drive the empty-cluster
+    repair. Centers are updated as one (k, n) one-hot GEMM divided by the
+    cluster sizes. A step costs O(n*k*dim) time and O(n*dim) memory.
     """
     points = np.asarray(points, dtype=float)
     centers = np.array(centers, dtype=float)
@@ -160,9 +166,9 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     assign = np.zeros(n, dtype=int)
     obj = 0.0
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), assign]
+        score = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
+        assign = score.argmin(axis=1)
+        point_d2 = ((points - centers[assign]) ** 2).sum(axis=1)
         _repair_empty(points, centers, assign, point_d2, k)
         obj = float(point_d2.sum())
         assert obj <= prev_obj * (1 + 1e-12) + 1e-12, "Lloyd objective increased"
@@ -170,9 +176,9 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
             break
         prev_assign = assign
         prev_obj = obj
-        for c in range(k):
-            members = assign == c
-            centers[c] = points[members].mean(axis=0)
+        onehot = np.zeros((k, n))
+        onehot[assign, np.arange(n)] = 1.0
+        centers = onehot @ points / np.bincount(assign, minlength=k)[:, None]
     return assign, centers, obj
 
 

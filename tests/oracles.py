@@ -177,3 +177,38 @@ def permutation_w_samples(labels, assignment, n_samples, seed, chunk=2000):
         out[done:done + b] = (counts * (counts - 1) // 2).sum(axis=1)
         done += b
     return out
+
+
+def naive_lloyd(points, centers):
+    """Up to 300 Lloyd iterations on the full (n, k, dim) broadcast of
+    differences, with the package's empty-cluster rule (promote the farthest point of a
+    cluster that keeps a member) written out as its own loop."""
+    points = np.asarray(points, dtype=float)
+    centers = np.array(centers, dtype=float)
+    n, k = points.shape[0], centers.shape[0]
+    prev_assign = None
+    assign = np.zeros(n, dtype=int)
+    obj = 0.0
+    for _ in range(300):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), assign]
+        while True:
+            counts = np.bincount(assign, minlength=k)
+            empty = [c for c in range(k) if counts[c] == 0]
+            if not empty:
+                break
+            far, far_d2 = None, -np.inf
+            for i in range(n):
+                if counts[assign[i]] >= 2 and point_d2[i] > far_d2:
+                    far, far_d2 = i, point_d2[i]
+            centers[empty[0]] = points[far]
+            assign[far] = empty[0]
+            point_d2[far] = 0.0
+        obj = float(point_d2.sum())
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+        for c in range(k):
+            centers[c] = points[assign == c].mean(axis=0)
+    return assign, centers, obj

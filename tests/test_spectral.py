@@ -1,11 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, normalize
+from geocluster.graph import (
+    GeoSocialGraph,
+    Individual,
+    SocialMatrix,
+    ZeroStrength,
+    build_weight_matrix,
+    compute_sigma,
+    normalize,
+)
 from geocluster.spectral import (
     Partition,
+    _kmeans_pp_init,
     embed,
     kmeans,
     lloyd,
@@ -14,6 +25,7 @@ from geocluster.spectral import (
 )
 
 from conftest import random_instance
+from oracles import naive_lloyd
 
 
 def blob_individuals(rng, centers, per_blob, spread=1.0):
@@ -74,6 +86,12 @@ class TestEmbed:
         emb = embed(small_graph, 8)
         norms = (emb.coords**2 * small_graph.d[:, None]).sum(axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+    def test_zero_strength_row_rejected(self):
+        w = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        g = GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=0.5, sigma=1.0)
+        with pytest.raises(ZeroStrength):
+            embed(g, 2)
 
     def test_bad_k(self, small_graph):
         with pytest.raises(ValueError):
@@ -143,6 +161,70 @@ class TestKmeans:
         perm_assign, _, perm_obj = lloyd(pts[perm], centers)
         assert np.array_equal(perm_assign, base_assign[perm])
         assert perm_obj == pytest.approx(base_obj)
+
+
+class TestLloydDistancePath:
+    """The GEMM distance expansion against the broadcast oracle."""
+
+    @given(
+        n_distinct=st.integers(2, 12),
+        dim=st.one_of(st.integers(2, 4), st.integers(19, 24)),  # low, or above n
+        n_dup=st.integers(0, 6),
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_broadcast_oracle(self, n_distinct, dim, n_dup, k_frac, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(n_distinct, dim)) * rng.uniform(0.1, 100.0)
+        pts = np.concatenate([distinct, distinct[rng.integers(n_distinct, size=n_dup)]])
+        pts = pts[rng.permutation(len(pts))]
+        k = 1 + int(k_frac * (len(pts) - 1))
+        centers = pts[rng.choice(len(pts), size=k, replace=False)]
+
+        assign, final, obj = lloyd(pts, centers)
+        _, _, oracle_obj = naive_lloyd(pts, centers)
+
+        exact = ((pts[:, None, :] - final[None, :, :]) ** 2).sum(axis=2)
+        # The mean of duplicate points is the point only up to rounding, so
+        # a zero distance can come back as ~1e-28: allow rounding at the
+        # scale of the largest ||x||^2 on top of the relative tolerance.
+        np.testing.assert_allclose(exact[np.arange(len(pts)), assign],
+                                   exact.min(axis=1), rtol=1e-9,
+                                   atol=1e-12 * (pts**2).sum(axis=1).max())
+        assert obj == pytest.approx(oracle_obj)
+
+    @pytest.mark.parametrize("fixture, k", [("small_dataset", 8), ("hollenbeck", 31)])
+    def test_identical_assignments_on_seeded_datasets(self, fixture, k, request):
+        individuals, social, _ = request.getfixturevalue(fixture)
+        graph = build_weight_matrix(individuals, social, 0.4,
+                                    compute_sigma(individuals, social))
+        features = [embed(graph, k).coords]
+        if fixture == "small_dataset":
+            # The D^-1 W columns as well; at n=748 the oracle's (n, k, n)
+            # broadcast would take seconds per iteration.
+            features.append(normalize(graph).T.copy())
+        for points in features:
+            for seed in range(3):
+                centers = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+                assign, _, obj = lloyd(points, centers)
+                oracle_assign, _, oracle_obj = naive_lloyd(points, centers)
+                assert np.array_equal(assign, oracle_assign)
+                assert obj == pytest.approx(oracle_obj)
+
+    def test_peak_memory_is_linear_in_points(self):
+        rng = np.random.default_rng(0)
+        n, dim, k = 600, 600, 31
+        pts = rng.normal(size=(n, dim))
+        centers = pts[rng.choice(n, size=k, replace=False)]
+        tracemalloc.start()
+        try:
+            lloyd(pts, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The (n, k, dim) broadcast alone would take 31 * n * dim * 8 bytes.
+        assert peak < 5 * n * dim * 8
 
 
 class TestSpectralCluster:
