@@ -303,7 +303,8 @@ def cmd_sweep_alpha(args) -> int:
         "results": records,
     }
     save_results(report, out)
-    save_plot_csv(_sweep_rows("alpha", records), out.with_suffix(".csv"))
+    save_plot_csv([row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)],
+                  out.with_suffix(".csv"))
     for rec in records:
         print(f"alpha={rec['alpha']:4}: purity {rec['purity_mean']:.3f} "
               f"± {rec['purity_std']:.3f}, z-Rand {rec['zrand_mean']:.1f}")
@@ -311,16 +312,11 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
-def _sweep_rows(param: str, records: list[dict]) -> list[dict]:
-    rows = []
-    for rec in records:
-        for metric in ("purity", "zrand"):
-            rows.append({
-                "param": param, "value": rec[param],
-                "metric": "z_rand" if metric == "zrand" else metric,
-                "mean": rec[f"{metric}_mean"], "std": rec[f"{metric}_std"],
-            })
-    return rows
+def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]:
+    """Plot rows of one scored record: the purity row, then the z_rand row."""
+    return [{"param": param, "value": value, "metric": metric + suffix,
+             "mean": record[f"{key}_mean"], "std": record[f"{key}_std"]}
+            for metric, key in (("purity", "purity"), ("z_rand", "zrand"))]
 
 
 def cmd_multislice(args) -> int:
@@ -434,10 +430,8 @@ def cmd_gt_sweep(args) -> int:
         "results": records,
     }
     save_results(report, out)
-    rows = [{
-        "param": f"p[q={rec['q']},alpha={rec['alpha']}]", "value": rec["p"],
-        "metric": metric, "mean": rec[f"{key}_mean"], "std": rec[f"{key}_std"],
-    } for rec in records for metric, key in (("purity", "purity"), ("z_rand", "zrand"))]
+    rows = [row for rec in records
+            for row in _score_rows(f"p[q={rec['q']},alpha={rec['alpha']}]", rec["p"], rec)]
     save_plot_csv(rows, out.with_suffix(".csv"))
     print(f"equivalence point p* = {report['equivalence_p']:.4f}")
     for rec in records:
@@ -481,20 +475,9 @@ def cmd_baselines(args) -> int:
         "spectral": [spec for _, spec in paired],
     }
     save_results(report, out)
-    rows = []
-    for name, records in (("kmeans_columns", report["kmeans_columns"]),
-                          ("spectral", report["spectral"])):
-        for rec in records:
-            for metric, key in (("purity", "purity"), ("z_rand", "zrand")):
-                rows.append({
-                    "param": "alpha", "value": rec["alpha"],
-                    "metric": f"{metric}/{name}",
-                    "mean": rec[f"{key}_mean"], "std": rec[f"{key}_std"],
-                })
-    for metric, key in (("purity", "purity"), ("z_rand", "zrand")):
-        rows.append({"param": "alpha", "value": -1.0, "metric": f"{metric}/gmm",
-                     "mean": gmm_record[f"{key}_mean"], "std": gmm_record[f"{key}_std"]})
-    save_plot_csv(rows, out.with_suffix(".csv"))
+    rows = [row for name in ("kmeans_columns", "spectral") for rec in report[name]
+            for row in _score_rows("alpha", rec["alpha"], rec, f"/{name}")]
+    save_plot_csv(rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"), out.with_suffix(".csv"))
     print(f"gmm: purity {gmm_record['purity_mean']:.3f}, "
           f"z-Rand {gmm_record['zrand_mean']:.1f}")
     for rec, spec in paired:

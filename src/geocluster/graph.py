@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,49 +57,64 @@ class Individual:
             raise DataError(f"non-finite location for individual {self.id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocialMatrix:
     """Sparse symmetric binary contact matrix.
 
-    Stored as unordered index pairs (i < j); the diagonal is implicitly 1
-    and never stored. Duplicate records collapse to a single pair.
+    `ij` holds the m contacts as an (m, 2) int64 array of index pairs. Its
+    rows have i < j, are unique, are sorted lexicographically, and are
+    read-only; `from_pairs` establishes these invariants, and every consumer
+    relies on the sorted order (it fixes the summation order of sigma). The
+    diagonal is implicitly 1 and never stored; duplicate records collapse
+    to one row. `pairs` is a frozenset view derived from `ij` on each
+    access. Matrices compare by identity.
     """
 
     n: int
-    pairs: frozenset[tuple[int, int]]
+    ij: np.ndarray
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SocialMatrix":
+    def from_pairs(cls, n: int, pairs) -> "SocialMatrix":
+        """Canonical matrix from (i, j) pairs in either orientation, given as
+        an (m, 2) array or any iterable of pairs."""
         if n < 0:
             raise DataError("negative matrix size")
-        canon = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
+        raw = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                         dtype=np.int64)
+        if raw.size == 0:
+            raw = raw.reshape(0, 2)
+        elif raw.ndim != 2 or raw.shape[1] != 2:
+            raise DataError(f"contact pairs must form an (m, 2) array, got shape {raw.shape}")
+        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        if bad.size:
+            i, j = (int(v) for v in raw[bad[0]])
             if i == j:
                 raise DataError(f"self-contact for index {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DataError(f"contact pair ({i}, {j}) out of range for n={n}")
-            canon.add((i, j) if i < j else (j, i))
-        return cls(n=n, pairs=frozenset(canon))
+            raise DataError(f"contact pair ({i}, {j}) out of range for n={n}")
+        key = np.unique(lo * n + hi)
+        ij = np.column_stack([key // n, key % n])
+        ij.flags.writeable = False
+        return cls(n=n, ij=ij)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.ij.tolist()))
 
     @property
     def n_contacts(self) -> int:
-        return len(self.pairs)
+        return len(self.ij)
 
     def to_dense(self) -> np.ndarray:
         s = np.zeros((self.n, self.n))
-        for i, j in self.pairs:
-            s[i, j] = s[j, i] = 1.0
+        i, j = self.ij.T
+        s[i, j] = s[j, i] = 1.0
         np.fill_diagonal(s, 1.0)
         return s
 
     def degrees(self) -> np.ndarray:
         """Contact degree per individual, self-loops excluded."""
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.pairs:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.ij.ravel(), minlength=self.n)
 
 
 @dataclass(eq=False)
@@ -118,17 +133,13 @@ class GeoSocialGraph:
 
 def locations(individuals: Sequence[Individual]) -> np.ndarray:
     """Stack mean locations into an (n, 2) float array."""
-    return np.array([(p.x, p.y) for p in individuals], dtype=float)
+    return np.array([(p.x, p.y) for p in individuals], dtype=float).reshape(-1, 2)
 
 
 def contact_distances(individuals: Sequence[Individual], social: SocialMatrix) -> np.ndarray:
-    """Euclidean distance for every contact pair, in a fixed (sorted-pair) order."""
+    """Euclidean distance for every contact pair, in the sorted order of `ij`."""
     xy = locations(individuals)
-    pairs = sorted(social.pairs)
-    if not pairs:
-        return np.zeros(0)
-    idx = np.array(pairs, dtype=int)
-    diff = xy[idx[:, 0]] - xy[idx[:, 1]]
+    diff = xy[social.ij[:, 0]] - xy[social.ij[:, 1]]
     return np.hypot(diff[:, 0], diff[:, 1])
 
 
@@ -161,13 +172,11 @@ def build_weight_matrix(
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise InvalidSigma(f"sigma must be a positive finite length, got {sigma}")
-    n = len(individuals)
     xy = locations(individuals)
     dx = xy[:, 0:1] - xy[:, 0:1].T
     dy = xy[:, 1:2] - xy[:, 1:2].T
     kernel = np.exp(-(dx * dx + dy * dy) / (sigma * sigma))
-    s = social.to_dense() if n else np.zeros((0, 0))
-    w = kernel + alpha * (s - kernel)
+    w = kernel + alpha * (social.to_dense() - kernel)
     # Both terms are bounded by 1 in exact arithmetic; clamp the <=1ulp
     # float overshoot so the [0, 1] range holds exactly.
     np.minimum(w, 1.0, out=w)

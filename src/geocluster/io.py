@@ -105,8 +105,8 @@ def save_dataset(individuals: Sequence[Individual], social: SocialMatrix,
     with open(files.contacts_csv, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id_a", "id_b"])
-        for i, j in sorted(social.pairs):
-            writer.writerow([individuals[i].id, individuals[j].id])
+        ids = np.array([p.id for p in individuals], dtype=object)
+        writer.writerows(ids[social.ij].tolist())
 
 
 def jsonable(value):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class SocialDiagnostics:
     n_isolates: int
     isolate_fraction: float
     intra_fraction: float | None
-    degrees: tuple[int, ...] = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -139,6 +138,12 @@ class SocialDiagnostics:
         }
 
 
+def intra_contact_count(labels, social: SocialMatrix) -> int:
+    """Number of contacts whose two members share a label."""
+    lab = np.asarray(labels)
+    return int(np.count_nonzero(lab[social.ij[:, 0]] == lab[social.ij[:, 1]]))
+
+
 def diagnostics(social: SocialMatrix, labels) -> SocialDiagnostics:
     """Degree statistics, isolate counts, and the intra-group contact share."""
     lab = np.asarray(labels)
@@ -146,10 +151,7 @@ def diagnostics(social: SocialMatrix, labels) -> SocialDiagnostics:
         raise LengthMismatch("labels do not match matrix size")
     deg = social.degrees()
     n = social.n
-    intra: float | None = None
-    if social.n_contacts:
-        same = sum(1 for i, j in social.pairs if lab[i] == lab[j])
-        intra = same / social.n_contacts
+    intra = intra_contact_count(lab, social) / social.n_contacts if social.n_contacts else None
     return SocialDiagnostics(
         n=n,
         n_contacts=social.n_contacts,
@@ -159,5 +161,4 @@ def diagnostics(social: SocialMatrix, labels) -> SocialDiagnostics:
         n_isolates=int((deg == 0).sum()),
         isolate_fraction=float((deg == 0).mean()) if n else 0.0,
         intra_fraction=intra,
-        degrees=tuple(int(v) for v in deg),
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .graph import Individual, SocialMatrix
-from .metrics import diagnostics
+from .metrics import diagnostics, intra_contact_count
 
 CALIBRATION_MAX_ITER = 50
 MEAN_DEGREE_TOL = 0.1
@@ -91,7 +91,7 @@ def gt_matrix(labels, params: GtParams) -> SocialMatrix:
         final = np.concatenate([final, into])
     else:
         final = kept
-    return SocialMatrix.from_pairs(n, zip(iu[final], ju[final]))
+    return SocialMatrix.from_pairs(n, np.column_stack([iu[final], ju[final]]))
 
 
 def total_intra_pairs(labels) -> int:
@@ -99,11 +99,6 @@ def total_intra_pairs(labels) -> int:
     lab = np.asarray(labels)
     _, counts = np.unique(lab, return_counts=True)
     return int((counts * (counts - 1) // 2).sum())
-
-
-def intra_contact_count(labels, social: SocialMatrix) -> int:
-    lab = np.asarray(labels)
-    return sum(1 for i, j in social.pairs if lab[i] == lab[j])
 
 
 def gt_equivalence_point(labels, social: SocialMatrix) -> float:
@@ -218,9 +213,9 @@ def _sample_contacts(
     intra_length: float,
     inter_length: float,
     rng: np.random.Generator,
-) -> list[tuple[int, int]] | None:
-    """One draw of the two-level contact model; None when the active pair
-    pool cannot host the requested edge counts.
+) -> np.ndarray | None:
+    """One draw of the two-level contact model as an (m, 2) index array;
+    None when the active pair pool cannot host the requested edge counts.
 
     Quiet members take part in no contacts at all (they are the isolates).
     Among active members, pairs are drawn without replacement with weight
@@ -254,7 +249,7 @@ def _sample_contacts(
             picks = rng.choice(pool, size=count, replace=False, p=w / w.sum())
             chosen.append(picks)
     idx = np.concatenate(chosen) if chosen else np.zeros(0, dtype=int)
-    return [(int(pi[e]), int(pj[e])) for e in idx]
+    return np.column_stack([pi[idx], pj[idx]])
 
 
 def _contested_score(xy: np.ndarray, home: np.ndarray, centers: np.ndarray,

@@ -41,6 +41,43 @@ def naive_sigma(points, contact_pairs):
     return mean + math.sqrt(var)
 
 
+def naive_social_pairs(n, pairs):
+    """Canonical contact set (i < j) by a per-pair loop; raises ValueError
+    for the first self-contact or out-of-range pair in input order."""
+    if n < 0:
+        raise ValueError("negative matrix size")
+    canon = set()
+    for i, j in pairs:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-contact for index {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"contact pair ({i}, {j}) out of range for n={n}")
+        canon.add((i, j) if i < j else (j, i))
+    return frozenset(canon)
+
+
+def naive_social_dense(n, canon):
+    s = np.zeros((n, n))
+    for i, j in canon:
+        s[i, j] = s[j, i] = 1.0
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def naive_degrees(n, canon):
+    deg = np.zeros(n, dtype=int)
+    for i, j in canon:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def naive_intra_count(labels, canon):
+    lab = np.asarray(labels)
+    return sum(1 for i, j in canon if lab[i] == lab[j])
+
+
 def naive_row_normalize(w):
     n = w.shape[0]
     out = np.zeros_like(w)

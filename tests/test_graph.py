@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geocluster.errors import DataError
 from geocluster.graph import (
     Individual,
     InvalidAlpha,
@@ -17,9 +18,18 @@ from geocluster.graph import (
     contact_distances,
     normalize,
 )
+from geocluster.metrics import intra_contact_count
 
 from conftest import random_instance
-from oracles import naive_row_normalize, naive_sigma, naive_weight_matrix
+from oracles import (
+    naive_degrees,
+    naive_intra_count,
+    naive_row_normalize,
+    naive_sigma,
+    naive_social_dense,
+    naive_social_pairs,
+    naive_weight_matrix,
+)
 
 
 def points_on_line(distances):
@@ -224,3 +234,72 @@ class TestSocialMatrix:
         inds = points_on_line([3.0, 4.0])
         sm = SocialMatrix.from_pairs(3, [(2, 0), (1, 2)])
         np.testing.assert_allclose(contact_distances(inds, sm), [7.0, 4.0])
+
+
+@st.composite
+def pair_lists(draw, valid):
+    """n, a pair list with repeats in both orientations, labels, points.
+
+    With valid=False indices range over [-3, n + 2], so self-contacts,
+    negative and out-of-range indices all occur."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    lo, hi = (0, n - 1) if valid else (-3, n + 2)
+    pair = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    base = draw(st.lists(pair.filter(lambda p: p[0] != p[1]) if valid else pair,
+                         max_size=40)) if n >= 2 or not valid else []
+    repeats = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()),
+                            max_size=10)) if base else []
+    pairs = draw(st.permutations(base + [(j, i) if flip else (i, j)
+                                         for (i, j), flip in repeats]))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    points = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    return n, pairs, labels, points
+
+
+def pairs_as(form, pairs):
+    if form == "zip":
+        return zip([i for i, _ in pairs], [j for _, j in pairs])
+    if form == "ndarray":
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return list(pairs)
+
+
+forms = st.sampled_from(["list", "zip", "ndarray"])
+
+
+class TestSocialMatrixStorage:
+    @given(pair_lists(valid=True), forms)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozenset_oracle(self, case, form):
+        n, pairs, labels, points = case
+        canon = naive_social_pairs(n, pairs)
+        sm = SocialMatrix.from_pairs(n, pairs_as(form, pairs))
+        assert sm.ij.dtype == np.int64 and sm.ij.shape == (len(canon), 2)
+        assert sm.ij.tolist() == [list(p) for p in sorted(canon)]
+        assert sm.pairs == canon and sm.n_contacts == len(canon)
+        np.testing.assert_array_equal(sm.to_dense(), naive_social_dense(n, canon))
+        np.testing.assert_array_equal(sm.degrees(), naive_degrees(n, canon))
+        assert intra_contact_count(labels, sm) == naive_intra_count(labels, canon)
+        inds = [Individual(f"p{i}", x, y) for i, (x, y) in enumerate(points)]
+        expected = [math.dist(points[i], points[j]) for i, j in sorted(canon)]
+        np.testing.assert_allclose(contact_distances(inds, sm), expected,
+                                   rtol=1e-15, atol=0)
+        with pytest.raises(ValueError):
+            sm.ij[...] = 0
+
+    @given(pair_lists(valid=False), forms)
+    @settings(max_examples=200, deadline=None)
+    def test_bad_pairs_raise_the_oracle_message(self, case, form):
+        n, pairs, _, _ = case
+        try:
+            canon = naive_social_pairs(n, pairs)
+        except ValueError as exc:
+            with pytest.raises(DataError) as info:
+                SocialMatrix.from_pairs(n, pairs_as(form, pairs))
+            assert str(info.value) == str(exc)
+        else:
+            assert SocialMatrix.from_pairs(n, pairs_as(form, pairs)).pairs == canon
+
+    def test_pairs_not_shaped_as_pairs_rejected(self):
+        with pytest.raises(DataError):
+            SocialMatrix.from_pairs(4, [(0, 1, 2), (1, 2, 3)])
