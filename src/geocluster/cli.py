@@ -3,9 +3,9 @@
 Subcommands: generate | spectral | sweep-alpha | multislice | gt-sweep |
 baselines. Every command is reproducible: the same flags and seed yield a
 byte-identical report. Run r of a multi-run command uses seed = base + r,
-and the derived seeds are echoed in the output. GEOCLUSTER_THREADS caps
-how many grid points run in parallel; results are assembled in grid order,
-so parallelism never changes output bytes.
+and the derived seeds are echoed in the output. Grid points run one after
+another, in grid order; the linear algebra inside each point already keeps
+every core busy through BLAS.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,7 @@ from .baselines import gmm_cluster, kmeans_columns
 from .errors import DataError, NumericalError
 from .graph import build_weight_matrix, compute_sigma, locations, normalize
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
-from .metrics import diagnostics, plurality_label, purity, z_rand
+from .metrics import contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, multislice_louvain
 from .spectral import embed, kmeans
 from .synth import HOLLENBECK, GtParams, generate_dataset, gt_equivalence_point, gt_matrix
@@ -106,24 +104,6 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="report JSON path")
 
 
-def _threads() -> int:
-    raw = os.environ.get("GEOCLUSTER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DataError(f"GEOCLUSTER_THREADS must be an integer, got {raw!r}") from None
-
-
-def _map_grid(fn, items):
-    """Order-preserving map over grid points, optionally threaded."""
-    items = list(items)
-    n_workers = min(_threads(), max(1, len(items)))
-    if n_workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -149,8 +129,11 @@ def _parse_grid(text: str) -> list[float]:
     return [g for g in grid if g <= stop + 1e-9]
 
 
-def _load_labeled(dataset_dir):
-    individuals, social = load_dataset(DatasetFiles.in_dir(dataset_dir))
+def _load(args):
+    """Inputs of a scoring command: the report path (checked before the
+    dataset is read), the fully labeled dataset, its labels and sigma."""
+    out = _out_path(args.out)
+    individuals, social = load_dataset(DatasetFiles.in_dir(args.dataset))
     missing = [p.id for p in individuals if p.gang is None]
     if missing:
         raise DataError(
@@ -158,7 +141,7 @@ def _load_labeled(dataset_dir):
             "scoring commands need fully labeled data"
         )
     labels = np.array([p.gang for p in individuals])
-    return individuals, social, labels
+    return out, individuals, social, labels, compute_sigma(individuals, social)
 
 
 def _out_path(raw: str) -> Path:
@@ -168,32 +151,52 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _run_config(args) -> dict:
+    """The config tail of a multi-run command: k, runs and each run's seed."""
+    if args.runs < 1:
+        raise DataError(f"--runs must be at least 1, got {args.runs}")
+    return {"k": args.k, "runs": args.runs,
+            "seeds": [args.seed + r for r in range(args.runs)]}
+
+
+def _header(command: str, args, config: dict, social, labels) -> dict:
+    """Leading report keys: the command, its config (the dataset first, then
+    `config`) and the contact diagnostics."""
+    return {
+        "command": command,
+        "config": {"dataset": str(args.dataset), **config},
+        "diagnostics": diagnostics(social, labels).as_dict(),
+    }
+
+
 def community_summaries(individuals, labels, assignment) -> list[dict]:
     """Size, plurality label, label composition, and location centroid per
     community -- the data behind per-community pie rendering."""
     xy = locations(individuals)
-    labels = np.asarray(labels)
     assignment = np.asarray(assignment)
+    names, ids, table = contingency_table(labels, assignment)
+    names = names.tolist()
     out = []
-    for c in range(int(assignment.max()) + 1):
+    for c, counts in zip(ids.tolist(), table.T):
         idx = np.flatnonzero(assignment == c)
-        comp = Counter(labels[idx].tolist())
-        size = idx.size
         out.append({
-            "id": int(c),
-            "size": int(size),
-            "label": plurality_label(labels[idx]),
-            "composition": {lab: cnt / size for lab, cnt in sorted(comp.items())},
+            "id": c,
+            "size": idx.size,
+            "label": names[int(counts.argmax())],
+            "composition": {names[i]: int(counts[i]) / idx.size for i in np.flatnonzero(counts)},
             "centroid": [float(xy[idx, 0].mean()), float(xy[idx, 1].mean())],
         })
     return out
 
 
-def _score_partitions(individuals, labels, parts_with_seeds, select="min") -> dict:
-    """Per-run purity and z-Rand plus mean/std summaries (population std,
-    so a single run reports std = 0)."""
+def _score_runs(individuals, labels, seeds, lead: dict, fit, pick) -> dict:
+    """Record of one grid point: `lead`, then purity and z-Rand of the
+    partition `fit(seed)` for each seed with their mean/std (population std,
+    so a single run reports std = 0), and the communities of the run whose
+    objective `pick` (np.argmin or np.argmax) selects."""
     runs = []
-    for seed, part in parts_with_seeds:
+    for seed in seeds:
+        part = fit(seed)
         runs.append({
             "seed": int(seed),
             "purity": purity(labels, part),
@@ -205,25 +208,32 @@ def _score_partitions(individuals, labels, parts_with_seeds, select="min") -> di
         })
     pur = np.array([r["purity"] for r in runs])
     zr = np.array([r["z_rand"] for r in runs])
-    objs = np.array([r["objective"] for r in runs], dtype=float)
-    best = int(objs.argmin()) if select == "min" else int(objs.argmax())
+    best = runs[int(pick(np.array([r["objective"] for r in runs], dtype=float)))]
     return {
+        **lead,
         "purity_mean": float(pur.mean()),
         "purity_std": float(pur.std()),
         "zrand_mean": float(zr.mean()),
         "zrand_std": float(zr.std()),
-        "best_run": runs[best]["seed"],
+        "best_run": best["seed"],
         "runs": runs,
-        "communities": community_summaries(
-            individuals, labels, runs[best]["assignment"]
-        ),
+        "communities": community_summaries(individuals, labels, best["assignment"]),
     }
 
 
-def _spectral_record(individuals, labels, graph, k, runs, base_seed) -> dict:
-    emb = embed(graph, k)
-    parts = [(base_seed + r, kmeans(emb.coords, k, base_seed + r)) for r in range(runs)]
-    return _score_partitions(individuals, labels, parts)
+def _score_spectral(individuals, labels, seeds, lead: dict, graph, k: int) -> dict:
+    """`_score_runs` for spectral clustering: one embedding of `graph`, then
+    k-means on it once per seed; the lowest k-means objective is best."""
+    coords = embed(graph, k).coords
+    return _score_runs(individuals, labels, seeds, lead,
+                       lambda seed: kmeans(coords, k, seed), np.argmin)
+
+
+def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]:
+    """Plot rows of one scored record: the purity row, then the z_rand row."""
+    return [{"param": param, "value": value, "metric": metric + suffix,
+             "mean": record[f"{key}_mean"], "std": record[f"{key}_std"]}
+            for metric, key in (("purity", "purity"), ("z_rand", "zrand"))]
 
 
 def cmd_generate(args) -> int:
@@ -236,9 +246,7 @@ def cmd_generate(args) -> int:
         overrides["spatial_spread"] = args.spread
     config = dataclasses.replace(PRESETS[args.preset], seed=args.seed, **overrides)
 
-    out_dir = Path(args.out)
-    if not out_dir.parent.exists():
-        raise DataError(f"output directory {out_dir.parent} does not exist")
+    out_dir = _out_path(args.out)
     out_dir.mkdir(exist_ok=True)
 
     try:
@@ -255,23 +263,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    out = _out_path(args.out)
-    individuals, social, labels = _load_labeled(args.dataset)
-    sigma = compute_sigma(individuals, social)
-    record = {"alpha": args.alpha}
+    run_config = _run_config(args)
+    out, individuals, social, labels, sigma = _load(args)
     graph = build_weight_matrix(individuals, social, args.alpha, sigma)
-    record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
-    report = {
-        "command": "spectral",
-        "config": {
-            "dataset": str(args.dataset), "alpha": args.alpha, "sigma": sigma,
-            "k": args.k, "runs": args.runs,
-            "seeds": [args.seed + r for r in range(args.runs)],
-        },
-        "diagnostics": diagnostics(social, labels).as_dict(),
-        "results": [record],
-    }
-    save_results(report, out)
+    record = _score_spectral(individuals, labels, run_config["seeds"], {"alpha": args.alpha},
+                             graph, args.k)
+    config = {"alpha": args.alpha, "sigma": sigma, **run_config}
+    save_results({**_header("spectral", args, config, social, labels), "results": [record]}, out)
     print(f"alpha={args.alpha}: purity {record['purity_mean']:.3f} "
           f"± {record['purity_std']:.3f}, z-Rand {record['zrand_mean']:.1f} "
           f"± {record['zrand_std']:.1f}")
@@ -280,29 +278,15 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    out = _out_path(args.out)
-    alphas = _parse_floats(args.alphas)
-    individuals, social, labels = _load_labeled(args.dataset)
-    sigma = compute_sigma(individuals, social)
-
-    def one(alpha):
-        record = {"alpha": alpha}
-        graph = build_weight_matrix(individuals, social, alpha, sigma)
-        record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
-        return record
-
-    records = _map_grid(one, sorted(alphas))
-    report = {
-        "command": "sweep-alpha",
-        "config": {
-            "dataset": str(args.dataset), "alphas": sorted(alphas), "sigma": sigma,
-            "k": args.k, "runs": args.runs,
-            "seeds": [args.seed + r for r in range(args.runs)],
-        },
-        "diagnostics": diagnostics(social, labels).as_dict(),
-        "results": records,
-    }
-    save_results(report, out)
+    alphas = sorted(_parse_floats(args.alphas))
+    run_config = _run_config(args)
+    out, individuals, social, labels, sigma = _load(args)
+    # Each W is passed straight through, so it is freed before the next is built.
+    records = [_score_spectral(individuals, labels, run_config["seeds"], {"alpha": alpha},
+                               build_weight_matrix(individuals, social, alpha, sigma), args.k)
+               for alpha in alphas]
+    config = {"alphas": alphas, "sigma": sigma, **run_config}
+    save_results({**_header("sweep-alpha", args, config, social, labels), "results": records}, out)
     save_plot_csv([row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)],
                   out.with_suffix(".csv"))
     for rec in records:
@@ -312,18 +296,9 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
-def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]:
-    """Plot rows of one scored record: the purity row, then the z_rand row."""
-    return [{"param": param, "value": value, "metric": metric + suffix,
-             "mean": record[f"{key}_mean"], "std": record[f"{key}_std"]}
-            for metric, key in (("purity", "purity"), ("z_rand", "zrand"))]
-
-
 def cmd_multislice(args) -> int:
-    out = _out_path(args.out)
     gammas = _parse_grid(args.gamma_grid)
-    individuals, social, labels = _load_labeled(args.dataset)
-    sigma = compute_sigma(individuals, social)
+    out, individuals, social, labels, sigma = _load(args)
     graph = build_weight_matrix(individuals, social, args.alpha, sigma)
     transition = normalize(graph)
     sym = 0.5 * (transition + transition.T)
@@ -342,13 +317,10 @@ def cmd_multislice(args) -> int:
         })
     counts = [rec["n_communities"] for rec in slices]
     zrands = [rec["z_rand"] for rec in slices]
+    config = {"alpha": args.alpha, "sigma": sigma, "gamma_grid": gammas,
+              "omega": args.omega, "seeds": [args.seed]}
     report = {
-        "command": "multislice",
-        "config": {
-            "dataset": str(args.dataset), "alpha": args.alpha, "sigma": sigma,
-            "gamma_grid": gammas, "omega": args.omega, "seeds": [args.seed],
-        },
-        "diagnostics": diagnostics(social, labels).as_dict(),
+        **_header("multislice", args, config, social, labels),
         "quality": result.objective,
         "n_communities_total": result.n_communities,
         "results": slices,
@@ -397,35 +369,23 @@ def local_maxima(values: list[float]) -> list[int]:
 
 
 def cmd_gt_sweep(args) -> int:
-    out = _out_path(args.out)
     alphas = sorted(_parse_floats(args.alphas))
     p_grid = sorted(_parse_grid(args.p_grid))
     q_list = sorted(_parse_floats(args.q_list))
-    individuals, social, labels = _load_labeled(args.dataset)
-    # The geographic kernel stays fixed: sigma comes from the observed
-    # contacts even though the social matrix is swapped for GT(p, q).
-    sigma = compute_sigma(individuals, social)
-
-    grid = [(q, alpha, p) for q in q_list for alpha in alphas for p in p_grid]
-
-    def one(point):
-        index, (q, alpha, p) = point
+    run_config = _run_config(args)
+    out, individuals, social, labels, sigma = _load(args)
+    records = []
+    for index, (q, alpha, p) in enumerate(product(q_list, alphas, p_grid)):
         gt_seed = args.seed + GT_SEED_STRIDE * (index + 1)
         gt = gt_matrix(labels, GtParams(p=p, q=q, seed=gt_seed))
-        record = {"q": q, "alpha": alpha, "p": p, "gt_seed": gt_seed}
-        graph = build_weight_matrix(individuals, gt, alpha, sigma)
-        record.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
-        return record
-
-    records = _map_grid(one, enumerate(grid))
+        # The geographic kernel stays fixed: sigma comes from the observed
+        # contacts even though the social matrix is swapped for GT(p, q).
+        records.append(_score_spectral(individuals, labels, run_config["seeds"],
+                                       {"q": q, "alpha": alpha, "p": p, "gt_seed": gt_seed},
+                                       build_weight_matrix(individuals, gt, alpha, sigma), args.k))
+    config = {"alphas": alphas, "p_grid": p_grid, "q_list": q_list, "sigma": sigma, **run_config}
     report = {
-        "command": "gt-sweep",
-        "config": {
-            "dataset": str(args.dataset), "alphas": alphas, "p_grid": p_grid,
-            "q_list": q_list, "sigma": sigma, "k": args.k, "runs": args.runs,
-            "seeds": [args.seed + r for r in range(args.runs)],
-        },
-        "diagnostics": diagnostics(social, labels).as_dict(),
+        **_header("gt-sweep", args, config, social, labels),
         "equivalence_p": gt_equivalence_point(labels, social),
         "results": records,
     }
@@ -442,37 +402,26 @@ def cmd_gt_sweep(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    out = _out_path(args.out)
     alphas = sorted(_parse_floats(args.alphas))
-    individuals, social, labels = _load_labeled(args.dataset)
-    sigma = compute_sigma(individuals, social)
-
-    gmm_parts = [(args.seed + r, gmm_cluster(individuals, args.k, args.seed + r))
-                 for r in range(args.runs)]
-    gmm_record = _score_partitions(individuals, labels, gmm_parts, select="max")
-
-    def one(alpha):
+    run_config = _run_config(args)
+    seeds = run_config["seeds"]
+    out, individuals, social, labels, sigma = _load(args)
+    gmm_record = _score_runs(individuals, labels, seeds, {},
+                             lambda seed: gmm_cluster(individuals, args.k, seed), np.argmax)
+    columns, spectral = [], []
+    for alpha in alphas:
         graph = build_weight_matrix(individuals, social, alpha, sigma)
-        parts = [(args.seed + r, kmeans_columns(graph, args.k, args.seed + r))
-                 for r in range(args.runs)]
-        record = {"alpha": alpha}
-        record.update(_score_partitions(individuals, labels, parts))
-        spectral = {"alpha": alpha}
-        spectral.update(_spectral_record(individuals, labels, graph, args.k, args.runs, args.seed))
-        return record, spectral
-
-    paired = _map_grid(one, alphas)
+        columns.append(_score_runs(individuals, labels, seeds, {"alpha": alpha},
+                                   lambda seed: kmeans_columns(graph, args.k, seed), np.argmin))
+        spectral.append(_score_spectral(individuals, labels, seeds, {"alpha": alpha},
+                                        graph, args.k))
+        del graph  # free this n x n W before the next alpha builds its own
+    config = {"alphas": alphas, "sigma": sigma, **run_config}
     report = {
-        "command": "baselines",
-        "config": {
-            "dataset": str(args.dataset), "alphas": alphas, "sigma": sigma,
-            "k": args.k, "runs": args.runs,
-            "seeds": [args.seed + r for r in range(args.runs)],
-        },
-        "diagnostics": diagnostics(social, labels).as_dict(),
+        **_header("baselines", args, config, social, labels),
         "gmm": gmm_record,
-        "kmeans_columns": [rec for rec, _ in paired],
-        "spectral": [spec for _, spec in paired],
+        "kmeans_columns": columns,
+        "spectral": spectral,
     }
     save_results(report, out)
     rows = [row for name in ("kmeans_columns", "spectral") for rec in report[name]
@@ -480,7 +429,7 @@ def cmd_baselines(args) -> int:
     save_plot_csv(rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"), out.with_suffix(".csv"))
     print(f"gmm: purity {gmm_record['purity_mean']:.3f}, "
           f"z-Rand {gmm_record['zrand_mean']:.1f}")
-    for rec, spec in paired:
+    for rec, spec in zip(columns, spectral):
         print(f"alpha={rec['alpha']:4}: k-means-columns purity "
               f"{rec['purity_mean']:.3f} (z {rec['zrand_mean']:.1f}) vs spectral "
               f"{spec['purity_mean']:.3f} (z {spec['zrand_mean']:.1f})")

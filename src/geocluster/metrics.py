@@ -10,7 +10,6 @@ deviation under a hypergeometric null with the observed pair counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,37 +53,38 @@ def _check_lengths(labels, assignment) -> tuple[np.ndarray, np.ndarray]:
     return lab, assign
 
 
+def contingency_table(labels, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct labels, sorted distinct community ids, and the labels x
+    communities member counts. An argmax down a column thus breaks ties toward
+    the lexicographically smallest label, so repeated runs report identically."""
+    lab, assign = _check_lengths(labels, partition)
+    names, row = np.unique(lab, return_inverse=True)
+    ids, col = np.unique(assign, return_inverse=True)
+    counts = np.bincount(row * ids.size + col, minlength=names.size * ids.size)
+    return names, ids, counts.reshape(names.size, ids.size)
+
+
 def plurality_label(members) -> str:
-    """Most frequent label in a community; ties break toward the
-    lexicographically smallest label so repeated runs report identically."""
-    tally = Counter(np.asarray(members).tolist())
-    best = max(tally.values())
-    return min(lab for lab, cnt in tally.items() if cnt == best)
+    """Most frequent label in a community (ties as in `contingency_table`)."""
+    names, _, table = contingency_table(members, np.zeros(np.shape(members), dtype=int))
+    return names[table.argmax()].item()
 
 
 def purity(labels, partition) -> float:
     """Fraction of individuals matching their community's plurality label."""
-    lab, assign = _check_lengths(labels, partition)
-    correct = 0
-    for c in np.unique(assign):
-        tally = Counter(lab[assign == c].tolist())
-        correct += max(tally.values())
-    return correct / lab.size
+    _, _, table = contingency_table(labels, partition)
+    return int(table.max(axis=0).sum()) / int(table.sum())
 
 
-def _comb2(v: int) -> int:
-    return int(v) * (int(v) - 1) // 2
+def _comb2(counts) -> int:
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def pair_counts(labels, partition) -> PairCounts:
     """Exact combinatorial pair counts from the contingency table."""
-    lab, assign = _check_lengths(labels, partition)
-    n = lab.size
-    m1 = sum(_comb2(c) for c in Counter(assign.tolist()).values())
-    m2 = sum(_comb2(c) for c in Counter(lab.tolist()).values())
-    cells = Counter(zip(assign.tolist(), lab.tolist()))
-    w = sum(_comb2(c) for c in cells.values())
-    return PairCounts(M=_comb2(n), M1=m1, M2=m2, w=w)
+    _, _, table = contingency_table(labels, partition)
+    return PairCounts(M=_comb2(table.sum()), M1=_comb2(table.sum(axis=0)),
+                      M2=_comb2(table.sum(axis=1)), w=_comb2(table))
 
 
 def z_rand(labels, partition) -> float:

@@ -21,6 +21,7 @@ under that symmetrization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,14 @@ class SliceStack:
             if a.shape != (n, n):
                 raise DataError("all slices must share the same square shape")
         gammas = self.gammas
+        for gamma in gammas:
+            _check_gamma(gamma)
         if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
             raise DataError("slice resolutions must be strictly increasing")
-        if self.omega < 0:
-            raise DataError("interslice coupling omega must be nonnegative")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise DataError(
+                f"interslice coupling omega must be finite and nonnegative, got {self.omega}"
+            )
 
     @property
     def n(self) -> int:
@@ -120,13 +125,17 @@ def _delta_sums(adjacency: np.ndarray, d: np.ndarray, labels: np.ndarray) -> tup
     return intra, null_sq
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DataError(f"gamma must be finite and positive, got {gamma}")
+
+
 def modularity_score(adjacency, partition, gamma: float) -> float:
     """Evaluate Q for one adjacency matrix and partition."""
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DataError("adjacency must be square")
-    if gamma <= 0:
-        raise DataError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     labels = _as_labels(partition)
     if labels.size != a.shape[0]:
         raise DimensionMismatch("partition length does not match adjacency")
@@ -248,8 +257,7 @@ def louvain(adjacency, gamma: float, seed: int,
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DataError("adjacency must be square")
-    if gamma <= 0:
-        raise DataError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     block, twom = _modularity_block(a, gamma)
     labels = _quality_louvain(block, seed, twom, trace=trace)
     part = Partition(labels)

@@ -179,6 +179,24 @@ def naive_purity(labels, assignment):
     return correct / len(labels)
 
 
+def naive_community_summaries(points, labels, assignment):
+    """Per-community size, plurality label (ties to the smallest label),
+    sorted composition and centroid, one community id at a time."""
+    out = []
+    for c in range(max(assignment) + 1):
+        members = [i for i, com in enumerate(assignment) if com == c]
+        tally = Counter(labels[i] for i in members)
+        best = max(tally.values())
+        out.append({
+            "id": c,
+            "size": len(members),
+            "label": min(lab for lab, cnt in tally.items() if cnt == best),
+            "composition": {lab: tally[lab] / len(members) for lab in sorted(tally)},
+            "centroid": [sum(points[i][k] for i in members) / len(members) for k in (0, 1)],
+        })
+    return out
+
+
 def naive_pair_counts(labels, assignment):
     n = len(labels)
     m = m1 = m2 = w = 0

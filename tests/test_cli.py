@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from geocluster.cli import find_plateaus, local_maxima, main
+from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
 from geocluster.io import load_results
 from geocluster.modularity import louvain
-from geocluster.graph import build_weight_matrix, compute_sigma, normalize
+from geocluster.graph import Individual, build_weight_matrix, compute_sigma, normalize
 from geocluster.io import DatasetFiles, load_dataset
+
+from oracles import naive_community_summaries
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,15 @@ class TestSpectralCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_exits_with_data_error(self, dataset_dir, tmp_path, capsys, runs):
+        code = main([
+            "spectral", "--dataset", str(dataset_dir), "--k", "6", "--runs", runs,
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        assert "--runs must be at least 1" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"
         args = [
@@ -101,20 +112,6 @@ class TestSweepAlpha:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "param,value,metric,mean,std"
         assert len(lines) == 1 + 3 * 2  # two metrics per alpha
-
-    def test_threaded_run_is_identical(self, dataset_dir, tmp_path, monkeypatch):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        args = lambda out: [
-            "sweep-alpha", "--dataset", str(dataset_dir),
-            "--alphas", "0,0.5,1.0", "--k", "6", "--runs", "2",
-            "--seed", "0", "--out", str(out),
-        ]
-        monkeypatch.setenv("GEOCLUSTER_THREADS", "1")
-        assert main(args(out_a)) == 0
-        monkeypatch.setenv("GEOCLUSTER_THREADS", "3")
-        assert main(args(out_b)) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
 
 
 class TestMultislice:
@@ -144,6 +141,19 @@ class TestMultislice:
         ]) == 0
         assignment = np.array(load_results(out)["assignment"])
         assert np.all(assignment == assignment[:, :1])
+
+    @pytest.mark.parametrize("flags", [
+        ("--gamma-grid", "1.0", "--omega", "nan"),
+        ("--gamma-grid", "1.0", "--omega", "-1"),
+        ("--gamma-grid", "nan,1", "--omega", "1"),
+        ("--gamma-grid=-1,1", "--omega", "1"),
+    ])
+    def test_bad_gamma_or_omega_exits_with_data_error(self, dataset_dir, tmp_path, capsys, flags):
+        out = tmp_path / "ms.json"
+        code = main(["multislice", "--dataset", str(dataset_dir), *flags, "--out", str(out)])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_parsing_range_syntax(self, dataset_dir, tmp_path):
         out = tmp_path / "ms.json"
@@ -203,6 +213,36 @@ class TestReportSchema:
                 "degenerate", "assignment"}
     SCORED_KEYS = {"purity_mean", "purity_std", "zrand_mean", "zrand_std",
                    "best_run", "runs", "communities"}
+
+    RUN_FLAGS = ("--k", "6", "--runs", "2", "--seed", "0")
+    HEADER = ["command", "config", "diagnostics"]
+    RUN_CONFIG = ["sigma", "k", "runs", "seeds"]
+
+    @pytest.mark.parametrize("argv, report_keys, config_keys", [
+        (("spectral", "--alpha", "0.4", *RUN_FLAGS),
+         HEADER + ["results"], ["dataset", "alpha"] + RUN_CONFIG),
+        (("sweep-alpha", "--alphas", "0.5,0", *RUN_FLAGS),
+         HEADER + ["results"], ["dataset", "alphas"] + RUN_CONFIG),
+        (("gt-sweep", "--alphas", "0.8", "--p-grid", "0.5", "--q-list", "0", *RUN_FLAGS),
+         HEADER + ["equivalence_p", "results"],
+         ["dataset", "alphas", "p_grid", "q_list"] + RUN_CONFIG),
+        (("baselines", "--alphas", "0.4", *RUN_FLAGS),
+         HEADER + ["gmm", "kmeans_columns", "spectral"], ["dataset", "alphas"] + RUN_CONFIG),
+        (("multislice", "--alpha", "0.4", "--gamma-grid", "0.5,1.0", "--omega", "1",
+          "--seed", "0"),
+         HEADER + ["quality", "n_communities_total", "results", "plateaus",
+                   "zrand_local_maxima", "assignment"],
+         ["dataset", "alpha", "sigma", "gamma_grid", "omega", "seeds"]),
+    ])
+    def test_report_and_config_key_order(self, dataset_dir, tmp_path, argv, report_keys,
+                                         config_keys):
+        out = tmp_path / "r.json"
+        assert main([argv[0], "--dataset", str(dataset_dir), *argv[1:], "--out", str(out)]) == 0
+        report = load_results(out)
+        assert list(report) == report_keys
+        assert list(report["config"]) == config_keys
+        assert report["command"] == argv[0]
+        assert report["config"]["dataset"] == str(dataset_dir)
 
     def test_spectral_record_keys(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"
@@ -276,6 +316,24 @@ class TestHelpers:
     def test_local_maxima(self):
         assert local_maxima([1.0, 3.0, 2.0, 2.0, 4.0]) == [1, 4]
         assert local_maxima([2.0, 2.0]) == [0, 1]
+
+    def test_community_summaries_match_counter_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            labels = rng.choice(["a", "ab", "b", "c"], size=n)
+            assignment = np.unique(rng.integers(0, 6, size=n), return_inverse=True)[1]
+            points = rng.uniform(-1e3, 1e3, size=(n, 2))
+            people = [Individual(str(i), x, y, lab) for i, ((x, y), lab)
+                      in enumerate(zip(points.tolist(), labels.tolist()))]
+            got = community_summaries(people, labels, assignment)
+            want = naive_community_summaries(points.tolist(), labels.tolist(),
+                                             assignment.tolist())
+            for g, w in zip(got, want, strict=True):
+                assert g["centroid"] == pytest.approx(w.pop("centroid"), rel=1e-12)
+                assert {k: v for k, v in g.items() if k != "centroid"} == w
+                assert list(g["composition"]) == list(w["composition"])
+                assert type(g["size"]) is int and type(g["id"]) is int
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -96,6 +96,7 @@ class TestPairCounts:
             m, m1, m2, w = naive_pair_counts(labels.tolist(), assignment.tolist())
             pc = pair_counts(labels, assignment)
             assert (pc.M, pc.M1, pc.M2, pc.w) == (m, m1, m2, w)
+            assert all(type(v) is int for v in (pc.M, pc.M1, pc.M2, pc.w))
 
 
 class TestZRand:

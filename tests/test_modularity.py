@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geocluster.errors import DataError
 from geocluster.graph import build_weight_matrix, compute_sigma, normalize
 from geocluster.modularity import (
     DimensionMismatch,
@@ -162,6 +163,21 @@ class TestSliceStack:
             SliceStack([(a, 1.0)], omega=-0.1)
         with pytest.raises(Exception):
             SliceStack([], omega=1.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_bad_gamma(self, gamma):
+        a = two_cliques(3)
+        with pytest.raises(DataError, match="gamma must be finite and positive"):
+            SliceStack([(a, gamma), (a, 2.0)], omega=1.0)
+        with pytest.raises(DataError, match="gamma must be finite and positive"):
+            louvain(a, gamma, seed=0)
+        with pytest.raises(DataError, match="gamma must be finite and positive"):
+            modularity_score(a, np.zeros(a.shape[0], dtype=int), gamma)
+
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), -0.1])
+    def test_rejects_bad_omega(self, omega):
+        with pytest.raises(DataError, match="omega must be finite and nonnegative"):
+            SliceStack([(two_cliques(3), 1.0)], omega=omega)
 
 
 class TestMultisliceScore:
