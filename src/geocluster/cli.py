@@ -25,7 +25,7 @@ from .errors import DataError, NumericalError
 from .graph import build_weight_matrix, compute_sigma, locations, normalize
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
 from .metrics import contingency_table, diagnostics, purity, z_rand
-from .modularity import SliceStack, multislice_louvain
+from .modularity import SliceStack, check_slice_params, multislice_louvain
 from .spectral import embed, kmeans
 from .synth import HOLLENBECK, GtParams, generate_dataset, gt_equivalence_point, gt_matrix
 
@@ -298,6 +298,7 @@ def cmd_sweep_alpha(args) -> int:
 
 def cmd_multislice(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
+    check_slice_params(gammas, args.omega)  # before the dataset load and W build
     out, individuals, social, labels, sigma = _load(args)
     graph = build_weight_matrix(individuals, social, args.alpha, sigma)
     transition = normalize(graph)

@@ -173,10 +173,22 @@ def build_weight_matrix(
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise InvalidSigma(f"sigma must be a positive finite length, got {sigma}")
     xy = locations(individuals)
-    dx = xy[:, 0:1] - xy[:, 0:1].T
-    dy = xy[:, 1:2] - xy[:, 1:2].T
-    kernel = np.exp(-(dx * dx + dy * dy) / (sigma * sigma))
-    w = kernel + alpha * (social.to_dense() - kernel)
+    x, y = xy[:, 0:1], xy[:, 1:2]
+    # Each step writes into an existing n x n array, in the float operations
+    # and order of exp(-(dx*dx + dy*dy) / sigma^2), so at most two n x n
+    # arrays are alive at once.
+    kernel = x - x.T
+    kernel *= kernel
+    dy2 = y - y.T
+    dy2 *= dy2
+    kernel += dy2
+    del dy2
+    kernel /= -(sigma * sigma)
+    np.exp(kernel, out=kernel)
+    w = social.to_dense()
+    w -= kernel
+    w *= alpha
+    w += kernel
     # Both terms are bounded by 1 in exact arithmetic; clamp the <=1ulp
     # float overshoot so the [0, 1] range holds exactly.
     np.minimum(w, 1.0, out=w)

@@ -57,15 +57,7 @@ class SliceStack:
         for a, _ in self.slices:
             if a.shape != (n, n):
                 raise DataError("all slices must share the same square shape")
-        gammas = self.gammas
-        for gamma in gammas:
-            _check_gamma(gamma)
-        if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
-            raise DataError("slice resolutions must be strictly increasing")
-        if not (math.isfinite(self.omega) and self.omega >= 0):
-            raise DataError(
-                f"interslice coupling omega must be finite and nonnegative, got {self.omega}"
-            )
+        check_slice_params(self.gammas, self.omega)
 
     @property
     def n(self) -> int:
@@ -128,6 +120,17 @@ def _delta_sums(adjacency: np.ndarray, d: np.ndarray, labels: np.ndarray) -> tup
 def _check_gamma(gamma: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError(f"gamma must be finite and positive, got {gamma}")
+
+
+def check_slice_params(gammas: list[float], omega: float) -> None:
+    """The multislice parameter rule: every gamma finite and positive, the
+    gammas strictly increasing, omega finite and nonnegative."""
+    for gamma in gammas:
+        _check_gamma(gamma)
+    if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
+        raise DataError("slice resolutions must be strictly increasing")
+    if not (math.isfinite(omega) and omega >= 0):
+        raise DataError(f"interslice coupling omega must be finite and nonnegative, got {omega}")
 
 
 def modularity_score(adjacency, partition, gamma: float) -> float:
@@ -295,13 +298,10 @@ def multislice_louvain(stack: SliceStack, seed: int,
                        trace: list | None = None) -> MultisliceAssignment:
     """Louvain on the flattened supra-graph of n * n_slices vertices."""
     n, n_slices = stack.n, stack.n_slices
-    blocks = []
-    strength_total = 0.0
-    for a, gamma in stack.slices:
-        block, sd = _modularity_block(a, gamma)
-        blocks.append(block)
-        strength_total += sd
-    b = sp.block_diag(blocks, format="csr")
+    blocks = [_modularity_block(a, gamma) for a, gamma in stack.slices]
+    strength_total = sum(sd for _, sd in blocks)
+    b = sp.block_diag([block for block, _ in blocks], format="csr")
+    del blocks  # the dense per-slice blocks; Louvain needs only the supra-matrix
     if n_slices > 1 and stack.omega > 0.0:
         coupling = np.full(n * (n_slices - 1), stack.omega)
         b = (b + sp.diags([coupling, coupling], offsets=[n, -n],

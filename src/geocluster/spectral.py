@@ -3,7 +3,10 @@
 The leading right-eigenvectors of D^-1 W approximate cluster indicator
 functions. They are computed through the symmetric similarity transform
 M = D^-1/2 W D^-1/2 (v = D^-1/2 u for each symmetric eigenvector u), so a
-symmetric eigensolver suffices and all eigenvalues are real.
+symmetric eigensolver suffices and all eigenvalues are real. Only the k
+leading pairs are solved for, by LAPACK's subset driver (scipy.linalg.eigh
+with subset_by_index), on one n x n working array beside W; the whole
+spectrum is solved only when rounding ties make LAPACK return fewer than k.
 """
 
 from __future__ import annotations
@@ -95,14 +98,33 @@ def embed(graph: GeoSocialGraph, k: int) -> Embedding:
         raise ValueError(f"embedding dimension k={k} outside [1, {n}]")
     normalize(graph)  # strength validation only
     root = np.sqrt(graph.d)
-    sym = graph.W / root[:, None] / root[None, :]
+    vals, vecs = _scaled_eigh(graph.W, root, subset_by_index=[n - k, n - 1])
+    if vals.size < k:
+        # LAPACK's bisection returns fewer pairs than asked for when rounding
+        # ties a cluster of eigenvalues across index n - k (at alpha = 1,
+        # eigenvalue 1 repeats once per connected component). Its documented
+        # cure: solve the whole spectrum (divide and conquer; MRRR is several
+        # times slower on such clusters) and keep the top k.
+        vals, vecs = _scaled_eigh(graph.W, root, driver="evd")
+        vals, vecs = vals[n - k:], vecs[:, n - k:]
+    coords = vecs[:, ::-1] / root[:, None]
+    return Embedding(coords=coords, eigenvalues=vals[::-1])
+
+
+def _scaled_eigh(w: np.ndarray, root: np.ndarray, **solver) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of D^-1/2 W D^-1/2 from scipy.linalg.eigh with
+    the `solver` options, on one n x n working array."""
+    # Imported here: at module level it adds ~90 ms to every CLI process.
+    import scipy.linalg
+
+    sym = np.outer(root, root)
+    np.divide(w, sym, out=sym)
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        # sym is exactly symmetric, so its F-ordered view sym.T is the same
+        # matrix and LAPACK overwrites it in place instead of copying.
+        return scipy.linalg.eigh(sym.T, overwrite_a=True, **solver)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(vals, kind="stable")[::-1][:k]
-    coords = vecs[:, order] / root[:, None]
-    return Embedding(coords=coords, eigenvalues=vals[order])
 
 
 def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:
@@ -168,7 +190,7 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     for _ in range(max_iter):
         score = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
         assign = score.argmin(axis=1)
-        point_d2 = ((points - centers[assign]) ** 2).sum(axis=1)
+        point_d2 = _assigned_sq_dist(points, centers, assign)
         _repair_empty(points, centers, assign, point_d2, k)
         obj = float(point_d2.sum())
         assert obj <= prev_obj * (1 + 1e-12) + 1e-12, "Lloyd objective increased"
@@ -180,6 +202,15 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
         onehot[assign, np.arange(n)] = 1.0
         centers = onehot @ points / np.bincount(assign, minlength=k)[:, None]
     return assign, centers, obj
+
+
+def _assigned_sq_dist(points: np.ndarray, centers: np.ndarray,
+                      assign: np.ndarray) -> np.ndarray:
+    """sum((points - centers[assign])**2, axis=1) through one (n, dim) temporary."""
+    diff = centers[assign]
+    np.subtract(points, diff, out=diff)
+    diff *= diff
+    return diff.sum(axis=1)
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray,

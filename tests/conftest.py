@@ -32,6 +32,15 @@ def random_instance(rng, n, contact_rate=0.1):
     return individuals, SocialMatrix.from_pairs(n, pairs)
 
 
+def sparse_random_instance(rng, n, n_contacts):
+    """Random individuals plus about `n_contacts` random contacts, without
+    the O(n^2) pair loop of `random_instance` (for large n)."""
+    xy = rng.uniform(0.0, 2000.0, size=(n, 2))
+    individuals = [Individual(f"p{i}", float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    pairs = rng.integers(n, size=(n_contacts, 2))
+    return individuals, SocialMatrix.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
 def random_weighted_graph(rng, n, density=0.6):
     """Symmetric nonnegative weight matrix with a zero diagonal."""
     a = rng.uniform(0.0, 1.0, size=(n, n))

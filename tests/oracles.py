@@ -267,3 +267,25 @@ def naive_lloyd(points, centers):
         for c in range(k):
             centers[c] = points[assign == c].mean(axis=0)
     return assign, centers, obj
+
+
+def naive_embed(w, d, k):
+    """Leading k eigenpairs of D^-1 W from a full dense `np.linalg.eigh` of
+    D^-1/2 W D^-1/2, nonincreasing; returns (eigenvalues, coords) with the
+    coordinates mapped back through D^-1/2."""
+    root = np.sqrt(d)
+    vals, vecs = np.linalg.eigh(w / root[:, None] / root[None, :])
+    order = np.argsort(vals, kind="stable")[::-1][:k]
+    return vals[order], vecs[:, order] / root[:, None]
+
+
+def blend_weight_matrix(points, dense_social, alpha, sigma):
+    """The blend K + alpha * (S - K) as one vectorized expression with its
+    own temporaries, clamped to 1 with a unit diagonal."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    dx = xy[:, 0:1] - xy[:, 0:1].T
+    dy = xy[:, 1:2] - xy[:, 1:2].T
+    kernel = np.exp(-(dx * dx + dy * dy) / (sigma * sigma))
+    w = np.minimum(kernel + alpha * (dense_social - kernel), 1.0)
+    np.fill_diagonal(w, 1.0)
+    return w

@@ -148,7 +148,12 @@ class TestMultislice:
         ("--gamma-grid", "nan,1", "--omega", "1"),
         ("--gamma-grid=-1,1", "--omega", "1"),
     ])
-    def test_bad_gamma_or_omega_exits_with_data_error(self, dataset_dir, tmp_path, capsys, flags):
+    def test_bad_gamma_or_omega_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
+                                                      monkeypatch, flags):
+        def load_dataset(*args, **kwargs):
+            pytest.fail("dataset loaded before the gamma/omega check")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         out = tmp_path / "ms.json"
         code = main(["multislice", "--dataset", str(dataset_dir), *flags, "--out", str(out)])
         assert code == 3

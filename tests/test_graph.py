@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from geocluster.graph import (
 )
 from geocluster.metrics import intra_contact_count
 
-from conftest import random_instance
+from conftest import random_instance, sparse_random_instance
 from oracles import (
+    blend_weight_matrix,
     naive_degrees,
     naive_intra_count,
     naive_row_normalize,
@@ -109,6 +111,27 @@ class TestBuildWeightMatrix:
         pts = [(p.x, p.y) for p in inds]
         expected = naive_weight_matrix(pts, social.pairs, 0.4, 700.0)
         np.testing.assert_allclose(g.W, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.75, 1.0])
+    def test_bit_identical_to_vectorized_blend(self, alpha):
+        rng = np.random.default_rng(17)
+        inds, social = random_instance(rng, 40, contact_rate=0.15)
+        got = build_weight_matrix(inds, social, alpha, 650.0).W
+        pts = [(p.x, p.y) for p in inds]
+        assert np.array_equal(got, blend_weight_matrix(pts, social.to_dense(), alpha, 650.0))
+
+    def test_peak_memory_two_dense_arrays(self):
+        n = 1500
+        inds, social = sparse_random_instance(np.random.default_rng(3), n, 4 * n)
+        tracemalloc.start()
+        try:
+            build_weight_matrix(inds, social, 0.4, 800.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # W plus the kernel, with a margin; separate dx, dy and blend
+        # temporaries take 4 n x n arrays.
+        assert peak < 2.5 * n * n * 8
 
     def test_invalid_alpha(self):
         inds = points_on_line([10.0])

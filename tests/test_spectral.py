@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import geocluster
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,9 @@ from geocluster.graph import (
 )
 from geocluster.spectral import (
     Partition,
+    _assigned_sq_dist,
     _kmeans_pp_init,
+    _scaled_eigh,
     embed,
     kmeans,
     lloyd,
@@ -24,8 +31,8 @@ from geocluster.spectral import (
     spectral_cluster,
 )
 
-from conftest import random_instance
-from oracles import naive_lloyd
+from conftest import random_instance, sparse_random_instance
+from oracles import naive_embed, naive_lloyd
 
 
 def blob_individuals(rng, centers, per_blob, spread=1.0):
@@ -98,6 +105,78 @@ class TestEmbed:
             embed(small_graph, 0)
         with pytest.raises(ValueError):
             embed(small_graph, small_graph.n + 1)
+
+
+class TestPartialEigensolve:
+    """The k-pair LAPACK subset solve against a full dense eigh."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(11)
+        inds, social = random_instance(rng, 60, contact_rate=0.1)
+        return build_weight_matrix(inds, social, 0.4, 800.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 31, 59, 60])
+    def test_matches_full_eigh(self, graph, k):
+        n = graph.n
+        emb = embed(graph, k)
+        vals, vecs = naive_embed(graph.W, graph.d, n)
+        assert emb.coords.shape == (n, k)
+        np.testing.assert_allclose(emb.eigenvalues, vals[:k], rtol=0, atol=1e-12)
+        t = normalize(graph)
+        assert np.abs(t @ emb.coords - emb.coords * emb.eigenvalues).max() <= 1e-8
+        gaps = -np.diff(vals)
+        isolated = [i for i in range(k)
+                    if (i == 0 or gaps[i - 1] > 1e-6) and (i == n - 1 or gaps[i] > 1e-6)]
+        assert len(isolated) >= k // 2 + 1
+        for i in isolated:
+            mine = emb.coords[:, i] / np.linalg.norm(emb.coords[:, i])
+            ref = vecs[:, i] / np.linalg.norm(vecs[:, i])
+            assert 1.0 - abs(mine @ ref) <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_tied_leading_space(self, k):
+        # alpha = 1 with isolates: eigenvalue 1 once per connected component,
+        # far more often than k, so the basis is the solver's choice.
+        inds, social = random_instance(np.random.default_rng(6), 60, contact_rate=0.01)
+        graph = build_weight_matrix(inds, social, 1.0, 800.0)
+        n = graph.n
+        vals, _ = naive_embed(graph.W, graph.d, n)
+        assert np.count_nonzero(vals > 1.0 - 1e-9) > k
+        # Rounding ties make LAPACK's subset solve return no pair here for
+        # k = 1 and 2, so those go through the full-spectrum fallback.
+        lapack = _scaled_eigh(graph.W, np.sqrt(graph.d), subset_by_index=[n - k, n - 1])[0].size
+        assert (lapack < k) == (k <= 2)
+        first, second = embed(graph, k), embed(graph, k)
+        assert first.coords.shape == (n, k)
+        assert np.array_equal(first.coords, second.coords)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_allclose(first.eigenvalues, 1.0, atol=1e-12)
+        t = normalize(graph)
+        assert np.abs(t @ first.coords - first.coords * first.eigenvalues).max() <= 1e-8
+        gram = first.coords.T @ (graph.d[:, None] * first.coords)
+        np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
+
+    def test_package_import_leaves_scipy_linalg_unloaded(self):
+        code = "import sys, geocluster; print('scipy.linalg' in sys.modules)"
+        src = str(Path(geocluster.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+    def test_peak_memory_one_dense_array_beyond_w(self):
+        n = 1500
+        inds, social = sparse_random_instance(np.random.default_rng(4), n, 4 * n)
+        graph = build_weight_matrix(inds, social, 0.4, 800.0)
+        tracemalloc.start()
+        try:
+            embed(graph, 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One n x n working array; the two-step scaling and a full
+        # eigenvector matrix take about 2 n x n arrays.
+        assert peak < 1.5 * n * n * 8
 
 
 class TestKmeans:
@@ -223,8 +302,17 @@ class TestLloydDistancePath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The (n, k, dim) broadcast alone would take 31 * n * dim * 8 bytes.
-        assert peak < 5 * n * dim * 8
+        # The (n, k, dim) broadcast alone would take 31 * n * dim * 8 bytes;
+        # centers[assign] plus a separate difference array take 2 * n * dim * 8.
+        assert peak < 1.5 * n * dim * 8
+
+    def test_assigned_distances_bit_identical_to_broadcast(self):
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(70, 5)) * 30.0
+        centers = pts[:6] + rng.normal(size=(6, 5))
+        assign = rng.integers(6, size=70)
+        assert np.array_equal(_assigned_sq_dist(pts, centers, assign),
+                              ((pts - centers[assign]) ** 2).sum(axis=1))
 
 
 class TestSpectralCluster:
