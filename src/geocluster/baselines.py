@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import GeoSocialGraph, Individual, locations, normalize
-from .spectral import Partition, _kmeans_pp_init, kmeans
+from .spectral import Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
 EM_TOL = 1e-8
@@ -64,7 +64,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
     rng = np.random.default_rng(seed)
     reg = COV_REG * max(float(points.var(axis=0).mean()), 1e-300)
 
-    means = _kmeans_pp_init(points, k, rng)
+    means = kmeans_pp_init(points, k, rng)
     d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     resp = np.zeros((n, k))
     resp[np.arange(n), d2.argmin(axis=1)] = 1.0

@@ -13,10 +13,12 @@ plus the coupling term, normalized by
 
 Louvain runs on an explicit quality matrix B (B = A - gamma * d d^T / sum(d)
 per slice, plus omega couplings), alternating greedy single-vertex moves in
-seeded random order with aggregation of communities into supervertices. The
-input is symmetrized as (A + A^T) / 2 before optimization because the move
-gain assumes symmetric weights; the delta-weighted sum in Q is invariant
-under that symmetrization.
+seeded random order with aggregation of communities into supervertices.
+The move gain assumes symmetric weights, so `SliceStack` rejects a slice
+that is not exactly symmetric. The single-slice `louvain` and
+`modularity_score` symmetrize their input as (A + A^T) / 2 and run it as a
+one-slice stack at omega = 0; for an asymmetric A this changes Q, because
+the strengths d are then row sums of the symmetrized matrix.
 """
 
 from __future__ import annotations
@@ -53,11 +55,15 @@ class SliceStack:
         if not self.slices:
             raise DataError("slice stack is empty")
         self.slices = [(np.asarray(a, dtype=float), float(g)) for a, g in self.slices]
+        check_slice_params(self.gammas, self.omega)
         n = self.slices[0][0].shape[0]
-        for a, _ in self.slices:
+        for s, (a, _) in enumerate(self.slices):
             if a.shape != (n, n):
                 raise DataError("all slices must share the same square shape")
-        check_slice_params(self.gammas, self.omega)
+            if not np.array_equal(a, a.T):
+                raise DataError(f"slice {s} is not symmetric")
+            if float(a.sum(axis=1).sum()) == 0.0:
+                raise EmptyGraph(f"slice {s} has zero total strength")
 
     @property
     def n(self) -> int:
@@ -117,50 +123,28 @@ def _delta_sums(adjacency: np.ndarray, d: np.ndarray, labels: np.ndarray) -> tup
     return intra, null_sq
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError(f"gamma must be finite and positive, got {gamma}")
-
-
 def check_slice_params(gammas: list[float], omega: float) -> None:
     """The multislice parameter rule: every gamma finite and positive, the
     gammas strictly increasing, omega finite and nonnegative."""
     for gamma in gammas:
-        _check_gamma(gamma)
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise DataError(f"gamma must be finite and positive, got {gamma}")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise DataError("slice resolutions must be strictly increasing")
     if not (math.isfinite(omega) and omega >= 0):
         raise DataError(f"interslice coupling omega must be finite and nonnegative, got {omega}")
 
 
-def modularity_score(adjacency, partition, gamma: float) -> float:
-    """Evaluate Q for one adjacency matrix and partition."""
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError("adjacency must be square")
-    _check_gamma(gamma)
-    labels = _as_labels(partition)
-    if labels.size != a.shape[0]:
-        raise DimensionMismatch("partition length does not match adjacency")
-    d = a.sum(axis=1)
-    twom = float(d.sum())
-    if twom == 0.0:
-        raise EmptyGraph("total strength is zero")
-    intra, null_sq = _delta_sums(a, d, labels)
-    return (intra - gamma * null_sq / twom) / twom
-
-
 def _local_phase(b: sp.csr_matrix, labels: np.ndarray, rng: np.random.Generator) -> bool:
     """Greedy single-vertex moves until a full sweep makes none.
 
-    A vertex moves only when the best candidate community (including a fresh
-    empty one) beats staying by more than MOVE_GAIN_TOL, so quality never
-    decreases between accepted moves; ties keep the current community.
+    A vertex moves only to the community with the largest positive link,
+    and only when that link beats staying by more than MOVE_GAIN_TOL, so
+    quality never decreases between accepted moves; ties keep the current
+    community. A vertex never moves to an empty community.
     """
     indptr, indices, data = b.indptr, b.indices, b.data
     n = labels.size
-    counts = np.bincount(labels, minlength=n)
-    free = [int(c) for c in np.flatnonzero(counts == 0)[::-1]]
     improved = False
     while True:
         moved = 0
@@ -170,20 +154,9 @@ def _local_phase(b: sp.csr_matrix, labels: np.ndarray, rng: np.random.Generator)
             keep = cols != v
             link = np.bincount(labels[cols[keep]], weights=w[keep], minlength=n)
             cur = int(labels[v])
-            stay = link[cur]
             best = int(np.argmax(link))
-            best_gain = float(link[best])
-            target = -1
-            if best != cur and best_gain > max(stay, 0.0) + MOVE_GAIN_TOL:
-                target = best
-            elif counts[cur] > 1 and 0.0 > max(stay, best_gain) + MOVE_GAIN_TOL:
-                target = free.pop()
-            if target >= 0:
-                counts[cur] -= 1
-                if counts[cur] == 0:
-                    free.append(cur)
-                counts[target] += 1
-                labels[v] = target
+            if best != cur and link[best] > max(link[cur], 0.0) + MOVE_GAIN_TOL:
+                labels[v] = best
                 moved += 1
         if moved == 0:
             return improved
@@ -199,13 +172,12 @@ def _quality_louvain(b, seed: int, twom: float,
     then refines by sweeping single original vertices over the flattened
     partition; the whole cycle repeats until no move improves anywhere.
     """
-    b0 = sp.csr_matrix(b)
+    b0 = b = sp.csr_matrix(b)
     rng = np.random.default_rng(seed)
     mapping = np.arange(b0.shape[0])
     if trace is not None:
         trace.append(float(b0.diagonal().sum()) / twom)
     while True:
-        b = _aggregate(b0, mapping)
         while True:
             nb = b.shape[0]
             labels = np.arange(nb)
@@ -223,8 +195,9 @@ def _quality_louvain(b, seed: int, twom: float,
         if not _local_phase(b0, refined, rng):
             break
         mapping = relabel_first_occurrence(refined)
+        b = _aggregate(b0, mapping)
         if trace is not None:
-            trace.append(float(_aggregate(b0, mapping).diagonal().sum()) / twom)
+            trace.append(float(b.diagonal().sum()) / twom)
     return relabel_first_occurrence(mapping)
 
 
@@ -241,13 +214,23 @@ def _aggregate(b: sp.csr_matrix, labels: np.ndarray) -> sp.csr_matrix:
 
 
 def _modularity_block(adjacency: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Symmetrized quality block B = A - gamma * d d^T / sum(d) and sum(d)."""
-    a = 0.5 * (adjacency + adjacency.T)
-    d = a.sum(axis=1)
+    """Quality block B = A - gamma * d d^T / sum(d) of a slice, and sum(d)."""
+    d = adjacency.sum(axis=1)
     twom = float(d.sum())
-    if twom == 0.0:
-        raise EmptyGraph("total strength is zero")
-    return a - gamma * np.outer(d, d) / twom, twom
+    return adjacency - gamma * np.outer(d, d) / twom, twom
+
+
+def _one_slice(adjacency, gamma: float) -> SliceStack:
+    """The stack of one slice, (A + A^T) / 2 at resolution gamma, omega = 0."""
+    a = np.asarray(adjacency, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DataError("adjacency must be square")
+    return SliceStack([(0.5 * (a + a.T), gamma)], omega=0.0)
+
+
+def modularity_score(adjacency, partition, gamma: float) -> float:
+    """Evaluate Q for one adjacency matrix and partition."""
+    return multislice_score(_one_slice(adjacency, gamma), _as_labels(partition).reshape(-1, 1))
 
 
 def louvain(adjacency, gamma: float, seed: int,
@@ -257,14 +240,8 @@ def louvain(adjacency, gamma: float, seed: int,
     `trace`, when a list, collects the quality value after initialization and
     after each level (local-move phase plus aggregation); it is nondecreasing.
     """
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError("adjacency must be square")
-    _check_gamma(gamma)
-    block, twom = _modularity_block(a, gamma)
-    labels = _quality_louvain(block, seed, twom, trace=trace)
-    part = Partition(labels)
-    return Partition(labels, objective=modularity_score(0.5 * (a + a.T), part, gamma))
+    res = multislice_louvain(_one_slice(adjacency, gamma), seed, trace=trace)
+    return Partition(res.assignment[:, 0], objective=res.objective)
 
 
 def multislice_score(stack: SliceStack, assignment) -> float:
@@ -282,8 +259,6 @@ def multislice_score(stack: SliceStack, assignment) -> float:
     for s, (a, gamma) in enumerate(stack.slices):
         d = a.sum(axis=1)
         sd = float(d.sum())
-        if sd == 0.0:
-            raise EmptyGraph(f"slice {s} has zero total strength")
         intra, null_sq = _delta_sums(a, d, g[:, s])
         total += intra - gamma * null_sq / sd
         strength_total += sd

@@ -144,12 +144,14 @@ def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:
     if k_clusters > 1 and np.all(points == points[0]):
         return Partition(np.zeros(n, dtype=int), objective=0.0, degenerate=True)
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k_clusters, rng)
+    centers = kmeans_pp_init(points, k_clusters, rng)
     assign, _, objective = lloyd(points, centers)
     return Partition(relabel_first_occurrence(assign), objective=objective)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: k rows of `points`, each drawn with probability
+    proportional to its squared distance from the nearest row already drawn."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)

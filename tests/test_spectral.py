@@ -22,10 +22,10 @@ from geocluster.graph import (
 from geocluster.spectral import (
     Partition,
     _assigned_sq_dist,
-    _kmeans_pp_init,
     _scaled_eigh,
     embed,
     kmeans,
+    kmeans_pp_init,
     lloyd,
     relabel_first_occurrence,
     spectral_cluster,
@@ -285,7 +285,7 @@ class TestLloydDistancePath:
             features.append(normalize(graph).T.copy())
         for points in features:
             for seed in range(3):
-                centers = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+                centers = kmeans_pp_init(points, k, np.random.default_rng(seed))
                 assign, _, obj = lloyd(points, centers)
                 oracle_assign, _, oracle_obj = naive_lloyd(points, centers)
                 assert np.array_equal(assign, oracle_assign)
