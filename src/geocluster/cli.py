@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from itertools import product
 from pathlib import Path
@@ -27,9 +26,8 @@ from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_re
 from .metrics import contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, check_slice_params, multislice_louvain
 from .spectral import embed, kmeans
-from .synth import HOLLENBECK, GtParams, generate_dataset, gt_equivalence_point, gt_matrix
+from .synth import GtParams, SynthConfig, generate_dataset, gt_equivalence_point, gt_matrix
 
-PRESETS = {"hollenbeck": HOLLENBECK}
 GT_SEED_STRIDE = 7919
 
 
@@ -54,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a calibrated synthetic dataset")
-    p.add_argument("--preset", default="hollenbeck", choices=sorted(PRESETS))
+    p.add_argument("--preset", default="hollenbeck", choices=["hollenbeck"])
     p.add_argument("--n-members", type=int, default=None)
     p.add_argument("--n-groups", type=int, default=None)
     p.add_argument("--spread", type=float, default=None, help="territory spatial spread (m)")
@@ -244,7 +242,7 @@ def cmd_generate(args) -> int:
         overrides["n_groups"] = args.n_groups
     if args.spread is not None:
         overrides["spatial_spread"] = args.spread
-    config = dataclasses.replace(PRESETS[args.preset], seed=args.seed, **overrides)
+    config = SynthConfig(seed=args.seed, **overrides)
 
     out_dir = _out_path(args.out)
     out_dir.mkdir(exist_ok=True)

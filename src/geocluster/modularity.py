@@ -179,18 +179,14 @@ def _quality_louvain(b, seed: int, twom: float,
         trace.append(float(b0.diagonal().sum()) / twom)
     while True:
         while True:
-            nb = b.shape[0]
-            labels = np.arange(nb)
+            labels = np.arange(b.shape[0])
             if not _local_phase(b, labels, rng):
                 break
             labels = relabel_first_occurrence(labels)
             mapping = labels[mapping]
-            nc = int(labels.max()) + 1
             b = _aggregate(b, labels)
             if trace is not None:
                 trace.append(float(b.diagonal().sum()) / twom)
-            if nc == nb:
-                break
         refined = mapping.copy()
         if not _local_phase(b0, refined, rng):
             break
@@ -202,7 +198,8 @@ def _quality_louvain(b, seed: int, twom: float,
 
 
 def _aggregate(b: sp.csr_matrix, labels: np.ndarray) -> sp.csr_matrix:
-    labels = relabel_first_occurrence(labels)
+    """Pᵀ B P for the community-indicator matrix P of first-occurrence
+    labels."""
     nc = int(labels.max()) + 1
     p = sp.csr_matrix(
         (np.ones(labels.size), (np.arange(labels.size), labels)),

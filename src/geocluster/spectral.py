@@ -73,9 +73,6 @@ class Partition:
     def k(self) -> int:
         return int(self.assignment.max()) + 1 if self.assignment.size else 0
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
-
     @classmethod
     def from_labels(cls, raw, objective: float | None = None,
                     degenerate: bool = False) -> "Partition":

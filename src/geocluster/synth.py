@@ -9,8 +9,11 @@ area), and samples sparse contacts through a two-level model: per-member
 stop activity (heavy-tailed, boosted in contested ground) and then an
 intra/inter group mix with geographic locality. An internal tuning loop
 retunes the quiet-member share until the realized diagnostics hit the
-configured targets: mean degree within 0.1, intra-group contact fraction
-within 0.02, isolate fraction within 0.05.
+Hollenbeck targets (TARGET_MEAN_DEGREE, TARGET_INTRA_FRACTION,
+TARGET_ISOLATE_FRACTION): mean degree within 0.1, intra-group contact
+fraction within 0.02, isolate fraction within 0.05. SynthConfig sets only
+the member and group counts, the spatial spread and the seed; every other
+model parameter is a module constant.
 
 GT(p, q) starts from the full intra-group pair matrix, keeps a fraction p
 of the upper-triangular intra pairs uniformly at random, then swaps a
@@ -29,6 +32,22 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .graph import Individual, SocialMatrix
 from .metrics import diagnostics, intra_contact_count
+
+# Model constants of the calibrated generator.
+SIZE_CONCENTRATION = 20.0  # Dirichlet concentration of the group-size noise
+MIN_GROUP_SIZE = 4
+SPREAD_DISPERSION = 0.25  # territory spread varies in spread * [1 - d, 1 + d]
+ANISOTROPY = 2.5  # largest major/minor axis ratio of a territory
+CENTER_JITTER = 0.3  # grid jitter of territory centers, in grid pitches
+TAIL_CLIP = 2.2  # member offsets are resampled beyond this many spreads
+HOTSPOT_STRENGTH = 6.0  # stop-activity boost in contested ground
+ACTIVITY_SIGMA = 1.0  # log-normal sigma of per-member stop activity
+INTRA_CONTACT_SCALE = 1.5  # contact locality scales, in spatial spreads
+INTER_CONTACT_SCALE = 1.2
+# Hollenbeck calibration targets.
+TARGET_MEAN_DEGREE = 1.2754
+TARGET_INTRA_FRACTION = 0.887
+TARGET_ISOLATE_FRACTION = 0.42
 
 CALIBRATION_MAX_ITER = 50
 MEAN_DEGREE_TOL = 0.1
@@ -112,83 +131,49 @@ def gt_equivalence_point(labels, social: SocialMatrix) -> float:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator configuration; defaults give the 'hollenbeck' preset of
+    """Generator configuration; the defaults give the Hollenbeck dataset of
     748 members in 31 groups with sparse, mostly intra-group contacts."""
 
     n_members: int = 748
     n_groups: int = 31
-    size_concentration: float = 20.0
-    min_group_size: int = 4
-    territory_centers: tuple[tuple[float, float], ...] | None = None
     spatial_spread: float = 250.0
-    spread_dispersion: float = 0.25
-    anisotropy: float = 2.5
-    center_jitter: float = 0.3
-    displaced_fraction: float = 0.0
-    tail_clip: float = 2.2
-    hotspot_strength: float = 6.0
-    intra_contact_scale: float = 1.5
-    inter_contact_scale: float = 1.2
-    target_intra_fraction: float = 0.887
-    target_mean_degree: float = 1.2754
-    target_isolate_fraction: float = 0.42
-    activity_sigma: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_members <= 0 or self.n_groups <= 0:
             raise DataError("n_members and n_groups must be positive")
-        if self.n_groups * self.min_group_size > self.n_members:
-            raise DataError("min_group_size too large for n_members")
-        if not (0.0 < self.target_intra_fraction <= 1.0):
-            raise DataError("target_intra_fraction must lie in (0, 1]")
-        if self.spatial_spread <= 0 or self.target_mean_degree <= 0:
-            raise DataError("spatial_spread and target_mean_degree must be positive")
-        if not (0.0 <= self.spread_dispersion < 1.0):
-            raise DataError("spread_dispersion must lie in [0, 1)")
-        if self.inter_contact_scale <= 0 or self.intra_contact_scale <= 0:
-            raise DataError("contact locality scales must be positive")
-        if self.tail_clip <= 1.0:
-            raise DataError("tail_clip must exceed one spread")
-        if self.hotspot_strength < 0:
-            raise DataError("hotspot_strength must be nonnegative")
-        if self.anisotropy < 1.0:
-            raise DataError("anisotropy is a max axis ratio and must be >= 1")
-        if self.center_jitter < 0:
-            raise DataError("center_jitter must be nonnegative")
-        if not (0.0 <= self.displaced_fraction < 1.0):
-            raise DataError("displaced_fraction must lie in [0, 1)")
-        if not (0.0 <= self.target_isolate_fraction < 1.0):
-            raise DataError("target_isolate_fraction must lie in [0, 1)")
-        if self.territory_centers is not None and len(self.territory_centers) != self.n_groups:
-            raise DataError("territory_centers must provide one center per group")
-
-
-HOLLENBECK = SynthConfig()
+        if self.n_groups * MIN_GROUP_SIZE > self.n_members:
+            raise DataError(
+                f"n_groups * {MIN_GROUP_SIZE} (the minimum group size) exceeds n_members"
+            )
+        if not (math.isfinite(self.spatial_spread) and self.spatial_spread > 0):
+            raise DataError(
+                f"spatial_spread must be finite and positive, got {self.spatial_spread}"
+            )
 
 
 def _group_sizes(config: SynthConfig, spread_factor: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Group sizes summing exactly to n_members, floored at min_group_size.
+    """Group sizes summing exactly to n_members, floored at MIN_GROUP_SIZE.
 
     Sizes scale with territory area (spread squared) modulated by Dirichlet
     noise, so member density stays roughly uniform while group size and
     territory extent both vary.
     """
-    noise = rng.dirichlet(np.full(config.n_groups, config.size_concentration))
+    noise = rng.dirichlet(np.full(config.n_groups, SIZE_CONCENTRATION))
     weights = spread_factor ** 2 * noise
     weights = weights / weights.sum()
-    spare = config.n_members - config.n_groups * config.min_group_size
+    spare = config.n_members - config.n_groups * MIN_GROUP_SIZE
     raw = weights * spare
     sizes = np.floor(raw).astype(int)
     remainder = raw - sizes
     short = spare - int(sizes.sum())
     for g in np.argsort(remainder, kind="stable")[::-1][:short]:
         sizes[g] += 1
-    return sizes + config.min_group_size
+    return sizes + MIN_GROUP_SIZE
 
 
-def _auto_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+def _grid_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Jittered grid of territory centers with nearest spacing around three
     spatial spreads, giving partially overlapping territories."""
     k = config.n_groups
@@ -197,7 +182,7 @@ def _auto_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     gx, gy = np.meshgrid(np.arange(side), np.arange(side))
     cells = np.column_stack([gx.ravel(), gy.ravel()]).astype(float) * pitch
     order = rng.permutation(cells.shape[0])[:k]
-    jitter = rng.uniform(-config.center_jitter, config.center_jitter, size=(k, 2)) * pitch
+    jitter = rng.uniform(-CENTER_JITTER, CENTER_JITTER, size=(k, 2)) * pitch
     return cells[order] + jitter
 
 
@@ -207,9 +192,7 @@ def _sample_contacts(
     n_edges_intra: int,
     n_edges_inter: int,
     quiet_fraction: float,
-    activity_sigma: float,
     contested: np.ndarray,
-    hotspot_strength: float,
     intra_length: float,
     inter_length: float,
     rng: np.random.Generator,
@@ -225,8 +208,8 @@ def _sample_contacts(
     boosted in contested areas where territories overlap.
     """
     n = group_of.size
-    activity = rng.lognormal(mean=0.0, sigma=activity_sigma, size=n)
-    activity *= 1.0 + hotspot_strength * contested
+    activity = rng.lognormal(mean=0.0, sigma=ACTIVITY_SIGMA, size=n)
+    activity *= 1.0 + HOTSPOT_STRENGTH * contested
     quiet = rng.random(n) < quiet_fraction
     activity[quiet] = 0.0
     active = np.flatnonzero(~quiet)
@@ -252,58 +235,46 @@ def _sample_contacts(
     return np.column_stack([pi[idx], pj[idx]])
 
 
-def _contested_score(xy: np.ndarray, home: np.ndarray, centers: np.ndarray,
+def _contested_score(xy: np.ndarray, group_of: np.ndarray, centers: np.ndarray,
                      spread: np.ndarray) -> np.ndarray:
     """How deep each member sits in contested ground: near 1 where the
     nearest rival territory is as close as the home one, near 0 deep in
     home turf."""
     d2 = ((xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     d2 = d2 / (spread[None, :] ** 2)
-    own = d2[np.arange(xy.shape[0]), home]
-    d2[np.arange(xy.shape[0]), home] = np.inf
+    own = d2[np.arange(xy.shape[0]), group_of]
+    d2[np.arange(xy.shape[0]), group_of] = np.inf
     rival = d2.min(axis=1)
     return np.exp(-np.maximum(rival - own, 0.0) / 4.0)
 
 
 def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatrix]:
-    """Generate a labeled point set and contact matrix hitting the configured
+    """Generate a labeled point set and contact matrix hitting the Hollenbeck
     diagnostics targets; deterministic per seed."""
     rng = np.random.default_rng(config.seed)
     # Gaussian territories whose extent varies across groups; elongation is
     # area-preserving, so member density stays tied to the nominal spread.
     spread_factor = rng.uniform(
-        1.0 - config.spread_dispersion, 1.0 + config.spread_dispersion,
-        size=config.n_groups,
+        1.0 - SPREAD_DISPERSION, 1.0 + SPREAD_DISPERSION, size=config.n_groups,
     )
     spread = config.spatial_spread * spread_factor
-    ratio = rng.uniform(1.0, config.anisotropy, size=config.n_groups)
+    ratio = rng.uniform(1.0, ANISOTROPY, size=config.n_groups)
     theta = rng.uniform(0.0, np.pi, size=config.n_groups)
     sizes = _group_sizes(config, spread_factor, rng)
-    centers = (
-        np.asarray(config.territory_centers, dtype=float)
-        if config.territory_centers is not None
-        else _auto_centers(config, rng)
-    )
+    centers = _grid_centers(config, rng)
     group_of = np.repeat(np.arange(config.n_groups), sizes)
-    # Displaced members live in some other group's territory while keeping
-    # their social ties home; geography alone cannot recover them.
-    home = group_of.copy()
-    if config.displaced_fraction > 0 and config.n_groups > 1:
-        moved = np.flatnonzero(rng.random(config.n_members) < config.displaced_fraction)
-        shift = rng.integers(1, config.n_groups, size=moved.size)
-        home[moved] = (home[moved] + shift) % config.n_groups
     offsets = rng.normal(size=(config.n_members, 2))
     # Territories have finite extent: resample the far Gaussian tail.
     radius = np.hypot(offsets[:, 0], offsets[:, 1])
-    while np.any(radius > config.tail_clip):
-        far = radius > config.tail_clip
+    while np.any(radius > TAIL_CLIP):
+        far = radius > TAIL_CLIP
         offsets[far] = rng.normal(size=(int(far.sum()), 2))
         radius = np.hypot(offsets[:, 0], offsets[:, 1])
-    stretch = np.sqrt(ratio[home])
-    major = offsets[:, 0] * spread[home] * stretch
-    minor = offsets[:, 1] * spread[home] / stretch
-    cos_t, sin_t = np.cos(theta[home]), np.sin(theta[home])
-    xy = centers[home] + np.column_stack(
+    stretch = np.sqrt(ratio[group_of])
+    major = offsets[:, 0] * spread[group_of] * stretch
+    minor = offsets[:, 1] * spread[group_of] / stretch
+    cos_t, sin_t = np.cos(theta[group_of]), np.sin(theta[group_of])
+    xy = centers[group_of] + np.column_stack(
         [major * cos_t - minor * sin_t, major * sin_t + minor * cos_t]
     )
     width = len(str(config.n_groups - 1))
@@ -319,18 +290,18 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     labels = np.array([p.gang for p in individuals])
 
     n = config.n_members
-    n_edges = _round_half_up(config.target_mean_degree * n / 2.0)
-    n_intra = _round_half_up(config.target_intra_fraction * n_edges)
+    n_edges = _round_half_up(TARGET_MEAN_DEGREE * n / 2.0)
+    n_intra = _round_half_up(TARGET_INTRA_FRACTION * n_edges)
     n_inter = n_edges - n_intra
 
-    quiet = config.target_isolate_fraction
-    intra_length = config.intra_contact_scale * config.spatial_spread
-    inter_length = config.inter_contact_scale * config.spatial_spread
-    contested = _contested_score(xy, home, centers, spread)
+    quiet = TARGET_ISOLATE_FRACTION
+    intra_length = INTRA_CONTACT_SCALE * config.spatial_spread
+    inter_length = INTER_CONTACT_SCALE * config.spatial_spread
+    contested = _contested_score(xy, group_of, centers, spread)
     for _ in range(CALIBRATION_MAX_ITER):
         pairs = _sample_contacts(
-            group_of, xy, n_intra, n_inter, quiet, config.activity_sigma,
-            contested, config.hotspot_strength, intra_length, inter_length, rng,
+            group_of, xy, n_intra, n_inter, quiet, contested,
+            intra_length, inter_length, rng,
         )
         if pairs is None:
             quiet = max(0.0, quiet - 0.05)
@@ -338,15 +309,15 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
         social = SocialMatrix.from_pairs(n, pairs)
         report = diagnostics(social, labels)
         ok = (
-            abs(report.degree_mean - config.target_mean_degree) <= MEAN_DEGREE_TOL
-            and abs((report.intra_fraction or 0.0) - config.target_intra_fraction)
+            abs(report.degree_mean - TARGET_MEAN_DEGREE) <= MEAN_DEGREE_TOL
+            and abs((report.intra_fraction or 0.0) - TARGET_INTRA_FRACTION)
             <= INTRA_FRACTION_TOL
-            and abs(report.isolate_fraction - config.target_isolate_fraction)
+            and abs(report.isolate_fraction - TARGET_ISOLATE_FRACTION)
             <= ISOLATE_FRACTION_TOL
         )
         if ok:
             return individuals, social
-        quiet = min(0.95, max(0.0, quiet - (report.isolate_fraction - config.target_isolate_fraction)))
+        quiet = min(0.95, max(0.0, quiet - (report.isolate_fraction - TARGET_ISOLATE_FRACTION)))
     raise CalibrationFailure(
         f"diagnostics targets not met within {CALIBRATION_MAX_ITER} tuning iterations"
     )

@@ -42,6 +42,14 @@ class TestGenerate:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_fails_before_output(self, spread, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(["generate", "--spread", spread, "--seed", "1", "--out", str(out)])
+        assert code == 3
+        assert "spatial_spread" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectralCommand:
     def test_single_run_has_zero_std(self, dataset_dir, tmp_path):

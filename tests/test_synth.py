@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from geocluster.errors import DataError
+from geocluster.io import DatasetFiles, save_dataset
 from geocluster.metrics import diagnostics
 from geocluster.synth import (
     GtParams,
@@ -135,14 +140,6 @@ class TestEquivalencePointStudy:
 
 
 class TestGenerateDataset:
-    def test_full_intra_target_reaches_one(self):
-        config = SynthConfig(
-            n_members=120, n_groups=5, target_intra_fraction=1.0, seed=2
-        )
-        individuals, social = generate_dataset(config)
-        labels = [p.gang for p in individuals]
-        assert diagnostics(social, labels).intra_fraction == 1.0
-
     def test_calibrated_defaults_hit_targets(self, hollenbeck):
         _, social, labels = hollenbeck
         rep = diagnostics(social, labels)
@@ -169,19 +166,30 @@ class TestGenerateDataset:
         with pytest.raises(DataError):
             SynthConfig(n_members=0)
         with pytest.raises(DataError):
-            SynthConfig(target_intra_fraction=0.0)
-        with pytest.raises(DataError):
-            SynthConfig(n_members=10, n_groups=5, min_group_size=4)
+            SynthConfig(n_members=10, n_groups=5)
+        for spread in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="spatial_spread"):
+                SynthConfig(spatial_spread=spread)
 
-    def test_explicit_centers_are_respected(self):
-        centers = tuple((float(1000 * g), 0.0) for g in range(4))
-        config = SynthConfig(
-            n_members=80, n_groups=4, territory_centers=centers,
-            spatial_spread=50.0, seed=7,
-        )
-        individuals, _ = generate_dataset(config)
-        labels = np.array([p.gang for p in individuals])
-        xy = np.array([(p.x, p.y) for p in individuals])
-        for g, label in enumerate(sorted(set(labels))):
-            got = xy[labels == label].mean(axis=0)
-            assert abs(got[0] - 1000 * g) < 200
+    def test_config_has_only_the_four_settable_fields(self):
+        names = [f.name for f in dataclasses.fields(SynthConfig)]
+        assert names == ["n_members", "n_groups", "spatial_spread", "seed"]
+
+    # Pinned digests of the CSV pair: a change to any draw of the generator
+    # or to the CSV format shows here.
+    @pytest.mark.parametrize("kwargs,digests", [
+        (dict(seed=18), (
+            "6b8ef6625d2e9c72246bab5fe5a759d32bdf4af02339de9fd6b1f888a5bb26ad",
+            "bc70402da42c72180e75f2325cd6229cbcf2abafc7e386f4c15b3e5dc90951c0",
+        )),
+        (dict(n_members=120, n_groups=6, seed=7), (
+            "f20cf7c08e13aa1acf5c906798a3e109e2e8bbab5ddca11d7f5d07298296f442",
+            "1077955c50025f12691dff86e3b9f9b9d4b3f86710f6561e9175b73e06baa157",
+        )),
+    ])
+    def test_dataset_bytes_are_pinned(self, kwargs, digests, tmp_path):
+        files = DatasetFiles.in_dir(tmp_path)
+        save_dataset(*generate_dataset(SynthConfig(**kwargs)), files)
+        got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (files.individuals_csv, files.contacts_csv))
+        assert got == digests
