@@ -7,6 +7,13 @@ component with the smallest variance-normalized distance ||x - mu_i|| / s_i,
 where s_i is the square root of the mean covariance eigenvalue of component
 i (for a 2x2 matrix, trace/2); the per-component scales are kept on the fit
 object so reports can audit the rule.
+
+EM stops once an iteration raises the mean log-likelihood per point by less
+than EM_TOL = 1e-3, the rule and default of scikit-learn's GaussianMixture.
+A rule on the per-point gain stops a fit of n points at the same iteration
+as a fit of those points repeated; a tolerance on the total log-likelihood
+tightens as n grows (1e-8 on a total near -1.2e4 sent 7 of 10 fits on the
+748-point acceptance dataset to the 500-iteration cap).
 """
 
 from __future__ import annotations
@@ -20,20 +27,22 @@ from .graph import GeoSocialGraph, Individual, locations, normalize
 from .spectral import Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
-EM_TOL = 1e-8
+EM_TOL = 1e-3  # per point
 COV_REG = 1e-6
 
 
 @dataclass(eq=False)
 class GmmFit:
-    """Fitted mixture: parameters, per-iteration log-likelihoods, and the
-    scalar distance scales used for assignment."""
+    """Fitted mixture: parameters, the log-likelihood at each E-step, the
+    scalar distance scales used for assignment, and whether EM ran out of
+    iterations before its stop rule fired."""
 
     means: np.ndarray
     covariances: np.ndarray
     weights: np.ndarray
     log_likelihoods: list[float]
     scales: np.ndarray
+    cap_hit: bool
 
 
 def _log_gauss2d(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -56,6 +65,12 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
     Covariance eigenvalues are floored at 1e-6 of the data variance scale,
     so co-located points never collapse a component; away from degeneracy
     the M-step is exact and the log-likelihood is nondecreasing.
+
+    Stops when an E-step's log-likelihood exceeds the previous one by less
+    than `tol` per point, (L_t - L_{t-1}) / n < tol, or after `max_iter`
+    E-steps; `cap_hit` is set only in the second case. The default tol is
+    scikit-learn's on the same per-sample quantity, and being per point it
+    does not tighten with n.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -71,6 +86,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
     weights, means, covs = _m_step(points, resp, reg)
 
     history: list[float] = []
+    cap_hit = True
     for _ in range(max_iter):
         log_prob = np.column_stack(
             [np.log(max(weights[i], 1e-300)) + _log_gauss2d(points, means[i], covs[i])
@@ -79,14 +95,15 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
         top = log_prob.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
         history.append(float(log_norm.sum()))
-        if len(history) > 1 and history[-1] - history[-2] < tol:
+        if len(history) > 1 and (history[-1] - history[-2]) / n < tol:
+            cap_hit = False
             break
         resp = np.exp(log_prob - log_norm[:, None])
         weights, means, covs = _m_step(points, resp, reg)
 
     scales = np.sqrt(0.5 * (covs[:, 0, 0] + covs[:, 1, 1]))
     return GmmFit(means=means, covariances=covs, weights=weights,
-                  log_likelihoods=history, scales=scales)
+                  log_likelihoods=history, scales=scales, cap_hit=cap_hit)
 
 
 def _m_step(points: np.ndarray, resp: np.ndarray, reg: float):
@@ -123,11 +140,14 @@ def gmm_assign(points: np.ndarray, fit: GmmFit) -> np.ndarray:
 
 
 def gmm_cluster(individuals: Sequence[Individual], k_components: int, seed: int) -> Partition:
-    """Mixture-model baseline on mean locations only."""
+    """Mixture-model baseline on mean locations only; the partition's
+    `convergence` holds the E-step count and whether EM hit its cap."""
     points = locations(individuals)
     fit = fit_gmm(points, k_components, seed)
-    return Partition.from_labels(gmm_assign(points, fit),
-                                 objective=fit.log_likelihoods[-1])
+    return Partition.from_labels(
+        gmm_assign(points, fit), objective=fit.log_likelihoods[-1],
+        convergence={"em_iters": len(fit.log_likelihoods), "cap_hit": fit.cap_hit},
+    )
 
 
 def kmeans_columns(graph: GeoSocialGraph, k_clusters: int, seed: int) -> Partition:

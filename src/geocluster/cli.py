@@ -191,7 +191,8 @@ def _score_runs(individuals, labels, seeds, lead: dict, fit, pick) -> dict:
     """Record of one grid point: `lead`, then purity and z-Rand of the
     partition `fit(seed)` for each seed with their mean/std (population std,
     so a single run reports std = 0), and the communities of the run whose
-    objective `pick` (np.argmin or np.argmax) selects."""
+    objective `pick` (np.argmin or np.argmax) selects. A run record carries
+    the partition's `convergence` counts after its `degenerate` flag."""
     runs = []
     for seed in seeds:
         part = fit(seed)
@@ -202,6 +203,7 @@ def _score_runs(individuals, labels, seeds, lead: dict, fit, pick) -> dict:
             "objective": part.objective,
             "n_communities": part.k,
             "degenerate": part.degenerate,
+            **part.convergence,
             "assignment": part.assignment,
         })
     pur = np.array([r["purity"] for r in runs])

@@ -11,7 +11,7 @@ spectrum is solved only when rounding ties make LAPACK return fewer than k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +50,14 @@ class Partition:
     (within-cluster squared distance for k-means, modularity for Louvain)
     so callers can select among repeated runs. `degenerate` flags runs
     where the input could not support the requested cluster count.
+    `convergence` holds the optimizer's own counts (the mixture baseline's
+    E-steps and cap flag), copied into report run records as they are.
     """
 
     assignment: np.ndarray
     objective: float | None = None
     degenerate: bool = False
+    convergence: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.assignment = np.asarray(self.assignment, dtype=int)
@@ -75,10 +78,10 @@ class Partition:
 
     @classmethod
     def from_labels(cls, raw, objective: float | None = None,
-                    degenerate: bool = False) -> "Partition":
+                    degenerate: bool = False, convergence: dict | None = None) -> "Partition":
         """Relabel arbitrary community ids to 0..k-1 by first occurrence."""
-        return cls(relabel_first_occurrence(np.asarray(raw)),
-                   objective=objective, degenerate=degenerate)
+        return cls(relabel_first_occurrence(np.asarray(raw)), objective=objective,
+                   degenerate=degenerate, convergence=convergence or {})
 
 
 def relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:
@@ -130,8 +133,10 @@ def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:
     Runs to an assignment fixed point or a 300-iteration cap. Empty clusters
     are repaired by promoting the point currently farthest from its center
     to a singleton center, which keeps the cluster count fixed and never
-    increases the objective. If every point is identical and more than one
-    cluster was requested, a single-community partition is returned with the
+    increases the objective; with more clusters than distinct points, the
+    copies of a point are split over several clusters and the assignment
+    still settles. If every point is identical and more than one cluster
+    was requested, a single-community partition is returned with the
     `degenerate` flag set instead of failing.
     """
     points = np.asarray(points, dtype=float)
@@ -177,7 +182,9 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     recomputed exactly as sum((x - c_assign)^2) and asserted nonincreasing
     every iteration; the same exact distances drive the empty-cluster
     repair. Centers are updated as one (k, n) one-hot GEMM divided by the
-    cluster sizes. A step costs O(n*k*dim) time and O(n*dim) memory.
+    cluster sizes; after a repair, a cluster of copies of one point is
+    centered on that point exactly. A step costs O(n*k*dim) time and
+    O(n*dim) memory.
     """
     points = np.asarray(points, dtype=float)
     centers = np.array(centers, dtype=float)
@@ -190,7 +197,7 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
         score = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
         assign = score.argmin(axis=1)
         point_d2 = _assigned_sq_dist(points, centers, assign)
-        _repair_empty(points, centers, assign, point_d2, k)
+        repaired = _repair_empty(points, centers, assign, point_d2, k)
         obj = float(point_d2.sum())
         assert obj <= prev_obj * (1 + 1e-12) + 1e-12, "Lloyd objective increased"
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -200,6 +207,8 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
         onehot = np.zeros((k, n))
         onehot[assign, np.arange(n)] = 1.0
         centers = onehot @ points / np.bincount(assign, minlength=k)[:, None]
+        if repaired:
+            _snap_uniform_clusters(points, centers, assign)
     return assign, centers, obj
 
 
@@ -212,13 +221,41 @@ def _assigned_sq_dist(points: np.ndarray, centers: np.ndarray,
     return diff.sum(axis=1)
 
 
+def _snap_uniform_clusters(points: np.ndarray, centers: np.ndarray,
+                           assign: np.ndarray) -> None:
+    """Set the center of each cluster whose members are all one point to
+    that point, exactly.
+
+    The mean of m copies of a point is the point only up to rounding.
+    Copies share a score row, so the argmin keeps them together and only
+    the repair splits them over several clusters, as it must when k exceeds
+    the number of distinct points. With those centers a few ulps apart,
+    the argmin sends the copies to whichever rounds lowest, a cluster
+    empties again and the repair moves another copy, so the assignment
+    need not settle before the cap. Exact centers tie exactly, the argmin
+    picks the same index every time, and the repair, facing exact zero
+    distances, promotes the same point again. Called only after a repair
+    moved a point: other steps split no copies, and on them the check
+    would add about a quarter to a k-means call on a 748 x 31 embedding.
+    """
+    rep = np.empty(centers.shape[0], dtype=int)
+    rep[assign] = np.arange(assign.size)  # some member of each cluster
+    spread = np.bincount(assign, weights=_assigned_sq_dist(points, points[rep], assign),
+                         minlength=centers.shape[0])
+    uniform = spread == 0.0
+    centers[uniform] = points[rep[uniform]]
+
+
 def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray,
-                  point_d2: np.ndarray, k: int) -> None:
+                  point_d2: np.ndarray, k: int) -> bool:
+    """Fill each empty cluster with a point; True if any point was moved."""
+    moved = False
     while True:
         counts = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
-            return
+            return moved
+        moved = True
         # Only steal from clusters that keep at least one member.
         eligible = counts[assign] >= 2
         masked = np.where(eligible, point_d2, -np.inf)

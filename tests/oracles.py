@@ -237,7 +237,8 @@ def permutation_w_samples(labels, assignment, n_samples, seed, chunk=2000):
 def naive_lloyd(points, centers):
     """Up to 300 Lloyd iterations on the full (n, k, dim) broadcast of
     differences, with the package's empty-cluster rule (promote the farthest point of a
-    cluster that keeps a member) written out as its own loop."""
+    cluster that keeps a member) and, after a repair, its exact center for a cluster
+    of copies of one point, written out as their own loops."""
     points = np.asarray(points, dtype=float)
     centers = np.array(centers, dtype=float)
     n, k = points.shape[0], centers.shape[0]
@@ -248,6 +249,7 @@ def naive_lloyd(points, centers):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assign]
+        repaired = False
         while True:
             counts = np.bincount(assign, minlength=k)
             empty = [c for c in range(k) if counts[c] == 0]
@@ -260,12 +262,17 @@ def naive_lloyd(points, centers):
             centers[empty[0]] = points[far]
             assign[far] = empty[0]
             point_d2[far] = 0.0
+            repaired = True
         obj = float(point_d2.sum())
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
         for c in range(k):
-            centers[c] = points[assign == c].mean(axis=0)
+            members = points[assign == c]
+            if repaired and (members == members[0]).all():
+                centers[c] = members[0]
+            else:
+                centers[c] = members.mean(axis=0)
     return assign, centers, obj
 
 

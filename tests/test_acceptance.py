@@ -349,6 +349,11 @@ def test_criterion_10_gmm_comparison(baselines_report):
                 f"purity gap {abs(gmm['purity_mean'] - spectral['purity_mean']):.3f} vs band {band:.3f}")
 
 
+def test_gmm_fits_stop_before_em_cap(baselines_report):
+    runs = baselines_report["gmm"]["runs"]
+    assert [r["cap_hit"] for r in runs] == [False] * RUNS, [r["em_iters"] for r in runs]
+
+
 def test_criterion_11_gt_sweep_rises_with_p(gt_sweep):
     recs = sorted(gt_sweep["results"], key=lambda r: r["p"])
     means = [r["purity_mean"] for r in recs]

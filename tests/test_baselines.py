@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geocluster.baselines import fit_gmm, gmm_assign, gmm_cluster, kmeans_columns
-from geocluster.graph import Individual, SocialMatrix, build_weight_matrix
+from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, locations
 from geocluster.metrics import purity
 
 
@@ -51,6 +51,32 @@ class TestFitGmm:
         np.testing.assert_array_equal(a.means, b.means)
         assert a.log_likelihoods == b.log_likelihoods
 
+    def test_stop_rule_is_per_point(self):
+        # Repeating every point three times triples each log-likelihood, so
+        # a rule on the per-point gain stops both fits on the same E-step; a
+        # tolerance on the total gain stops the repeated fit later.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            shift = rng.uniform(3.0, 8.0)
+            pts = np.concatenate([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + [shift, 0]])
+            once = fit_gmm(pts, 2, seed=0)
+            thrice = fit_gmm(np.repeat(pts, 3, axis=0), 2, seed=0)
+            assert len(thrice.log_likelihoods) == len(once.log_likelihoods), shift
+
+    def test_cap_hit_only_when_stop_rule_never_fired(self):
+        rng = np.random.default_rng(6)
+        pts = blob_points(rng, [(0, 0), (6, 0), (0, 6)], 40, 2.0)
+        free = fit_gmm(pts, 3, seed=0)
+        m = len(free.log_likelihoods)
+        assert not free.cap_hit and m > 2
+        # Converging on the last allowed E-step is not a cap hit.
+        last = fit_gmm(pts, 3, seed=0, max_iter=m)
+        assert not last.cap_hit and last.log_likelihoods == free.log_likelihoods
+        short = fit_gmm(pts, 3, seed=0, max_iter=m - 1)
+        assert short.cap_hit and len(short.log_likelihoods) == m - 1
+        forced = fit_gmm(pts, 3, seed=0, max_iter=1)
+        assert forced.cap_hit and len(forced.log_likelihoods) == 1
+
     def test_scales_are_sqrt_mean_cov_eigenvalues(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(50, 2))
@@ -70,6 +96,12 @@ class TestGmmCluster:
         individuals, _, _ = small_dataset
         part = gmm_cluster(individuals, 8, seed=0)
         assert set(np.unique(part.assignment)) == set(range(part.k))
+
+    def test_convergence_reports_em_steps(self, small_dataset):
+        individuals, _, _ = small_dataset
+        part = gmm_cluster(individuals, 8, seed=0)
+        fit = fit_gmm(locations(individuals), 8, seed=0)
+        assert part.convergence == {"em_iters": len(fit.log_likelihoods), "cap_hit": False}
 
 
 class TestKmeansColumns:

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from geocluster import baselines
 from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
 from geocluster.io import load_results
 from geocluster.modularity import louvain
@@ -217,6 +220,23 @@ class TestBaselinesCommand:
         assert "gmm" in report
         assert [r["alpha"] for r in report["kmeans_columns"]] == [0.0, 0.9]
         assert [r["alpha"] for r in report["spectral"]] == [0.0, 0.9]
+        for run in report["gmm"]["runs"]:
+            assert list(run)[-3:] == ["em_iters", "cap_hit", "assignment"]
+            assert run["em_iters"] >= 2 and run["cap_hit"] is False
+        for name in ("kmeans_columns", "spectral"):
+            assert set(report[name][0]["runs"][0]) == TestReportSchema.RUN_KEYS
+
+    def test_forced_em_cap_is_reported(self, dataset_dir, tmp_path, monkeypatch):
+        # gmm_cluster looks fit_gmm up in its module, so the cap reaches it.
+        monkeypatch.setattr(baselines, "fit_gmm",
+                            functools.partial(baselines.fit_gmm, max_iter=1))
+        out = tmp_path / "b.json"
+        assert main([
+            "baselines", "--dataset", str(dataset_dir), "--alphas", "0.4",
+            "--k", "6", "--runs", "2", "--seed", "0", "--out", str(out),
+        ]) == 0
+        runs = load_results(out)["gmm"]["runs"]
+        assert [(r["em_iters"], r["cap_hit"]) for r in runs] == [(1, True), (1, True)]
 
 
 class TestReportSchema:

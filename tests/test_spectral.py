@@ -19,7 +19,9 @@ from geocluster.graph import (
     compute_sigma,
     normalize,
 )
+from geocluster import spectral
 from geocluster.spectral import (
+    KMEANS_MAX_ITER,
     Partition,
     _assigned_sq_dist,
     _scaled_eigh,
@@ -230,6 +232,28 @@ class TestKmeans:
         part = kmeans(pts, 3, seed=1)
         assert part.k == 3
         assert not part.degenerate
+
+    def test_repaired_assignment_settles_when_k_exceeds_distinct_points(self, monkeypatch):
+        # With k above the number of distinct points, copies of one point
+        # must share out over several clusters, and the repair does the
+        # splitting; Lloyd must still reach a fixed point before its cap.
+        # _repair_empty runs once per iteration, so its calls count them.
+        calls = []
+        repair = spectral._repair_empty
+        monkeypatch.setattr(spectral, "_repair_empty",
+                            lambda *args: calls.append(1) or repair(*args))
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            n_distinct = int(rng.integers(2, 13))
+            distinct = rng.normal(size=(n_distinct, int(rng.integers(2, 5))))
+            distinct *= rng.uniform(0.1, 100.0)
+            copies = distinct[rng.integers(n_distinct, size=int(rng.integers(1, 8)))]
+            pts = rng.permutation(np.concatenate([distinct, copies]))
+            k = int(rng.integers(n_distinct + 1, len(pts) + 1))
+            calls.clear()
+            part = kmeans(pts, k, seed=int(rng.integers(1000)))
+            assert part.k == k and not part.degenerate
+            assert len(calls) < KMEANS_MAX_ITER, (pts, k)
 
     def test_permutation_equivariance_via_lloyd(self):
         rng = np.random.default_rng(4)
