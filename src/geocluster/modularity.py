@@ -11,9 +11,15 @@ weight omega; quality is then evaluated against the per-slice null model
 plus the coupling term, normalized by
 2*mu = sum_s sum(d_s) + 2 * omega * n * (#adjacent slice pairs).
 
-Louvain runs on an explicit quality matrix B (B = A - gamma * d d^T / sum(d)
-per slice, plus omega couplings), alternating greedy single-vertex moves in
-seeded random order with aggregation of communities into supervertices.
+Louvain never forms the supra-matrix B (B = A - gamma * d d^T / sum(d) per
+slice, plus omega couplings). It alternates greedy moves in seeded random
+order with aggregation of communities into supervertices, and sums each
+move's quality link from the slices themselves: a supervertex's rows of A,
+the strengths d (through a community x slice strength table once vertices
+are aggregated), and the copies of its members in the adjacent slices.
+Aggregation only records which supervertex each (vertex, slice) belongs
+to, so memory is the slices plus O(n_slices * (n + K)) at a level of K
+supervertices.
 The move gain assumes symmetric weights, so `SliceStack` rejects a slice
 that is not exactly symmetric. The single-slice `louvain` and
 `modularity_score` symmetrize their input as (A + A^T) / 2 and run it as a
@@ -27,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .spectral import Partition, relabel_first_occurrence
@@ -46,7 +51,8 @@ class DimensionMismatch(DataError):
 @dataclass(eq=False)
 class SliceStack:
     """Ordered (adjacency, gamma) slices over one vertex set, plus the
-    interslice coupling omega (nearest neighbors in gamma order)."""
+    interslice coupling omega (nearest neighbors in gamma order). Slices
+    may share one array object; Louvain then reads it without a copy."""
 
     slices: list[tuple[np.ndarray, float]]
     omega: float
@@ -54,12 +60,22 @@ class SliceStack:
     def __post_init__(self) -> None:
         if not self.slices:
             raise DataError("slice stack is empty")
-        self.slices = [(np.asarray(a, dtype=float), float(g)) for a, g in self.slices]
+        # Convert each distinct input object once, so slices that share an
+        # array keep sharing it; validate each distinct array once.
+        arrays: dict[int, np.ndarray] = {}
+        for a, _ in self.slices:
+            if id(a) not in arrays:
+                arrays[id(a)] = np.asarray(a, dtype=float)
+        self.slices = [(arrays[id(a)], float(g)) for a, g in self.slices]
         check_slice_params(self.gammas, self.omega)
         n = self.slices[0][0].shape[0]
+        checked = set()
         for s, (a, _) in enumerate(self.slices):
             if a.shape != (n, n):
                 raise DataError("all slices must share the same square shape")
+            if id(a) in checked:
+                continue
+            checked.add(id(a))
             if not np.array_equal(a, a.T):
                 raise DataError(f"slice {s} is not symmetric")
             if float(a.sum(axis=1).sum()) == 0.0:
@@ -135,86 +151,154 @@ def check_slice_params(gammas: list[float], omega: float) -> None:
         raise DataError(f"interslice coupling omega must be finite and nonnegative, got {omega}")
 
 
-def _local_phase(b: sp.csr_matrix, labels: np.ndarray, rng: np.random.Generator) -> bool:
-    """Greedy single-vertex moves until a full sweep makes none.
+class _SupraGraph:
+    """The supra-graph of a stack, read from its slices and never formed:
+    vertex v of slice s is supra-vertex s * n + v, and its quality row is
+    A_s[v] - gamma_s * d_v * d_s / sum(d_s) within slice s plus omega toward
+    its copies in slices s - 1 and s + 1."""
 
-    A vertex moves only to the community with the largest positive link,
-    and only when that link beats staying by more than MOVE_GAIN_TOL, so
-    quality never decreases between accepted moves; ties keep the current
-    community. A vertex never moves to an empty community.
+    def __init__(self, stack: SliceStack) -> None:
+        ids: dict[int, int] = {}
+        self.which = np.array([ids.setdefault(id(a), len(ids)) for a, _ in stack.slices])
+        arrays = list({id(a): a for a, _ in stack.slices}.values())
+        # One shared array (the CLI's case) is read through a view, not copied.
+        self.a = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        self.d = np.array([a.sum(axis=1) for a in arrays])
+        self.gamma = np.array(stack.gammas)
+        self.twom = np.array([float(self.d[w].sum()) for w in self.which])
+        self.omega = stack.omega
+        self.n, self.n_slices = stack.n, stack.n_slices
+        self.slice_of, self.vertex_of = np.divmod(np.arange(self.n * self.n_slices), self.n)
+        self.strength = self.d[self.which[self.slice_of], self.vertex_of]
+
+
+class _Vertices:
+    """Links of single supra-vertices, each summed in the order of its sparse
+    row in the explicit supra-matrix (the coupling to slice s - 1, slice s,
+    the coupling to slice s + 1) with the same floating-point values. The
+    vertex's own entry and an absent coupling add 0.0 to its own bin, which
+    leaves every sum unchanged."""
+
+    def __init__(self, graph: _SupraGraph, labels: np.ndarray) -> None:
+        self.n, self.n_slices, self.omega = graph.n, graph.n_slices, graph.omega
+        self.a = [graph.a[w] for w in graph.which]
+        self.d = [graph.d[w] for w in graph.which]
+        self.gamma, self.twom = graph.gamma.tolist(), graph.twom.tolist()
+        self.comm = labels.copy()
+        self.bins = np.zeros(self.n + 2, dtype=int)
+        self.weights = np.zeros(self.n + 2)
+        self.row = self.weights[1:-1]
+        self.null = np.zeros(self.n)
+
+    def take_out(self, x: int) -> np.ndarray:
+        n, comm, bins, weights, null = self.n, self.comm, self.bins, self.weights, self.null
+        s, v = divmod(x, n)
+        d = self.d[s]
+        np.multiply(d, d[v], out=null)
+        null *= self.gamma[s]
+        null /= self.twom[s]
+        np.subtract(self.a[s][v], null, out=self.row)
+        weights[1 + v] = 0.0
+        bins[1:-1] = comm[s * n:(s + 1) * n]
+        has_prev, has_succ = s > 0, s < self.n_slices - 1
+        bins[0] = comm[x - n] if has_prev else comm[x]
+        bins[-1] = comm[x + n] if has_succ else comm[x]
+        weights[0] = self.omega if has_prev else 0.0
+        weights[-1] = self.omega if has_succ else 0.0
+        return np.bincount(bins, weights)
+
+    def put_back(self, x: int, label: int) -> None:
+        self.comm[x] = label
+
+
+class _Supervertices:
+    """Links of supervertices (sets of supra-vertices) from the slices and a
+    table of community strength per slice, D[s, c]: the link of a
+    supervertex to community c is the sum over its members (s, v) of
+    A_s[v, u] over the u of c in slice s, less gamma_s * d_v * D[s, c] /
+    sum(d_s), plus omega for each coupled copy in c."""
+
+    def __init__(self, graph: _SupraGraph, member: np.ndarray, labels: np.ndarray) -> None:
+        k, n_slices = labels.size, graph.n_slices
+        self.graph, self.comm, self.k = graph, labels[member], k
+        self.comm_by_slice = self.comm.reshape(n_slices, graph.n)
+        self.order = np.argsort(member, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=k))))
+        s = graph.slice_of[self.order]
+        self.slice_of, self.vertex_of = s, graph.vertex_of[self.order]
+        self.layer_of = graph.which[s]
+        # Whether a supervertex has two members in one slice.
+        same = np.zeros(s.size, dtype=bool)
+        same[1:] = s[1:] == s[:-1]
+        same[self.bounds[:-1]] = False
+        self.repeats = np.add.reduceat(same, self.bounds[:-1])
+        # Per supervertex and slice: its strength, and that strength times
+        # gamma_s / sum(d_s).
+        cells = member * n_slices + graph.slice_of
+        self.strength = np.bincount(cells, graph.strength, minlength=k * n_slices).reshape(k, n_slices)
+        self.scale = self.strength * (graph.gamma / graph.twom)
+        self.table = np.zeros((n_slices, k + 1))
+        np.add.at(self.table.T, labels, self.strength)
+        # Coupled pairs (x, y) of copies in adjacent slices, grouped by the
+        # supervertex of x.
+        upper = np.arange(graph.n if graph.omega > 0.0 else member.size, member.size)
+        src = np.concatenate((upper, upper - graph.n))
+        dst = np.concatenate((upper - graph.n, upper))
+        self.coupled = dst[np.argsort(member[src], kind="stable")]
+        self.coupled_bounds = np.concatenate(([0], np.cumsum(np.bincount(member[src], minlength=k))))
+
+    def take_out(self, c: int) -> np.ndarray:
+        g, comm, k = self.graph, self.comm, self.k
+        lo, hi = self.bounds[c], self.bounds[c + 1]
+        x = self.order[lo:hi]
+        s = self.slice_of[lo:hi]
+        self.table[:, comm[x[0]]] -= self.strength[c]
+        comm[x] = k  # its own bin, dropped by the caller
+        rows = g.a[self.layer_of[lo:hi], self.vertex_of[lo:hi]]
+        if self.repeats[c]:  # sum the rows of each slice before binning
+            starts = np.flatnonzero(np.diff(s, prepend=-1))
+            rows = np.array([r.sum(axis=0) for r in np.split(rows, starts[1:])])
+            s = s[starts]
+        link = np.bincount(self.comm_by_slice[s].ravel(), rows.ravel(), minlength=k + 1)
+        coupled = self.coupled[self.coupled_bounds[c]:self.coupled_bounds[c + 1]]
+        np.add.at(link, comm[coupled], g.omega)
+        link -= self.scale[c] @ self.table
+        return link
+
+    def put_back(self, c: int, label: int) -> None:
+        self.comm[self.order[self.bounds[c]:self.bounds[c + 1]]] = label
+        self.table[:, label] += self.strength[c]
+
+
+def _local_phase(graph: _SupraGraph, member: np.ndarray, labels: np.ndarray,
+                 rng: np.random.Generator) -> bool:
+    """Greedy moves of whole supervertices until a full sweep makes none;
+    member[x] is the supervertex of supra-vertex x, labels[c] the
+    community of supervertex c.
+
+    A supervertex moves only to the community with the largest positive
+    link, and only when that link beats staying by more than MOVE_GAIN_TOL,
+    so quality never decreases between accepted moves; ties keep the
+    current community. Its members are taken out before the links are
+    summed, so staying is scored like any other community. A supervertex
+    never moves to an empty community.
     """
-    indptr, indices, data = b.indptr, b.indices, b.data
-    n = labels.size
+    k = labels.size
+    links = _Vertices(graph, labels) if k == member.size else _Supervertices(graph, member, labels)
     improved = False
     while True:
         moved = 0
-        for v in rng.permutation(n):
-            cols = indices[indptr[v]:indptr[v + 1]]
-            w = data[indptr[v]:indptr[v + 1]]
-            keep = cols != v
-            link = np.bincount(labels[cols[keep]], weights=w[keep], minlength=n)
-            cur = int(labels[v])
-            best = int(np.argmax(link))
+        for c in rng.permutation(k).tolist():
+            cur = int(labels[c])
+            link = links.take_out(c)
+            best = int(link[:k].argmax())
             if best != cur and link[best] > max(link[cur], 0.0) + MOVE_GAIN_TOL:
-                labels[v] = best
+                labels[c] = best
                 moved += 1
+            links.put_back(c, int(labels[c]))
         if moved == 0:
             return improved
         improved = True
-
-
-def _quality_louvain(b, seed: int, twom: float,
-                     trace: list | None = None) -> np.ndarray:
-    """Louvain on an explicit symmetric quality matrix: maximize
-    sum_ij B[i, j] * delta(g_i, g_j) / twom. Returns contiguous labels.
-
-    Alternates local moves with aggregation until aggregated moves stall,
-    then refines by sweeping single original vertices over the flattened
-    partition; the whole cycle repeats until no move improves anywhere.
-    """
-    b0 = b = sp.csr_matrix(b)
-    rng = np.random.default_rng(seed)
-    mapping = np.arange(b0.shape[0])
-    if trace is not None:
-        trace.append(float(b0.diagonal().sum()) / twom)
-    while True:
-        while True:
-            labels = np.arange(b.shape[0])
-            if not _local_phase(b, labels, rng):
-                break
-            labels = relabel_first_occurrence(labels)
-            mapping = labels[mapping]
-            b = _aggregate(b, labels)
-            if trace is not None:
-                trace.append(float(b.diagonal().sum()) / twom)
-        refined = mapping.copy()
-        if not _local_phase(b0, refined, rng):
-            break
-        mapping = relabel_first_occurrence(refined)
-        b = _aggregate(b0, mapping)
-        if trace is not None:
-            trace.append(float(b.diagonal().sum()) / twom)
-    return relabel_first_occurrence(mapping)
-
-
-def _aggregate(b: sp.csr_matrix, labels: np.ndarray) -> sp.csr_matrix:
-    """Pᵀ B P for the community-indicator matrix P of first-occurrence
-    labels."""
-    nc = int(labels.max()) + 1
-    p = sp.csr_matrix(
-        (np.ones(labels.size), (np.arange(labels.size), labels)),
-        shape=(labels.size, nc),
-    )
-    out = (p.T @ b @ p).tocsr()
-    out.sum_duplicates()
-    return out
-
-
-def _modularity_block(adjacency: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Quality block B = A - gamma * d d^T / sum(d) of a slice, and sum(d)."""
-    d = adjacency.sum(axis=1)
-    twom = float(d.sum())
-    return adjacency - gamma * np.outer(d, d) / twom, twom
 
 
 def _one_slice(adjacency, gamma: float) -> SliceStack:
@@ -268,18 +352,31 @@ def multislice_score(stack: SliceStack, assignment) -> float:
 
 def multislice_louvain(stack: SliceStack, seed: int,
                        trace: list | None = None) -> MultisliceAssignment:
-    """Louvain on the flattened supra-graph of n * n_slices vertices."""
+    """Louvain on the flattened supra-graph of n * n_slices vertices.
+
+    Alternates local moves with aggregation until aggregated moves stall,
+    then refines by moving single supra-vertices over the flattened
+    partition; the whole cycle repeats until no move improves anywhere.
+    Aggregation only relabels which supervertex each supra-vertex belongs
+    to. `trace`, when a list, collects the multislice_score of the
+    flattened partition after initialization and after each level.
+    """
     n, n_slices = stack.n, stack.n_slices
-    blocks = [_modularity_block(a, gamma) for a, gamma in stack.slices]
-    strength_total = sum(sd for _, sd in blocks)
-    b = sp.block_diag([block for block, _ in blocks], format="csr")
-    del blocks  # the dense per-slice blocks; Louvain needs only the supra-matrix
-    if n_slices > 1 and stack.omega > 0.0:
-        coupling = np.full(n * (n_slices - 1), stack.omega)
-        b = (b + sp.diags([coupling, coupling], offsets=[n, -n],
-                          shape=b.shape)).tocsr()
-    two_mu = strength_total + 2.0 * stack.omega * n * (n_slices - 1)
-    labels = _quality_louvain(b, seed, two_mu, trace=trace)
-    assignment = labels.reshape(n_slices, n).T.copy()
+    graph = _SupraGraph(stack)
+    rng = np.random.default_rng(seed)
+    singletons = np.arange(n * n_slices)
+    mapping = singletons
+    while True:
+        if trace is not None:
+            trace.append(multislice_score(stack, mapping.reshape(n_slices, n).T))
+        labels = np.arange(int(mapping.max()) + 1)
+        if _local_phase(graph, mapping, labels, rng):
+            mapping = relabel_first_occurrence(labels)[mapping]
+            continue
+        refined = mapping.copy()
+        if not _local_phase(graph, singletons, refined, rng):
+            break
+        mapping = relabel_first_occurrence(refined)
+    assignment = relabel_first_occurrence(mapping).reshape(n_slices, n).T.copy()
     msa = MultisliceAssignment(assignment)
     return MultisliceAssignment(assignment, objective=multislice_score(stack, msa))

@@ -1,8 +1,13 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geocluster
 from geocluster import baselines
 from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
 from geocluster.io import load_results
@@ -372,3 +377,11 @@ class TestHelpers:
         with pytest.raises(SystemExit) as err:
             main(["spectral"])  # missing required flags
         assert err.value.code == 2
+
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        code = ("import sys, geocluster.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        src = str(Path(geocluster.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"

@@ -24,6 +24,7 @@ from conftest import random_weighted_graph
 from oracles import (
     exhaustive_best_modularity,
     exhaustive_best_multislice,
+    explicit_multislice_louvain,
     naive_modularity,
     naive_multislice,
 )
@@ -126,6 +127,25 @@ class TestLouvain:
         assert len(trace) >= 2
         assert all(b >= a_ - 1e-12 for a_, b in zip(trace, trace[1:]))
 
+    def test_trace_ends_at_objective(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            n = int(rng.integers(3, 25))
+            a = random_weighted_graph(rng, n)
+            if a.sum() == 0:
+                continue
+            trace = []
+            part = louvain(a, float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(1000)),
+                           trace=trace)
+            assert trace[-1] == part.objective
+        slices = [random_weighted_graph(rng, 12) for _ in range(3)]
+        stack = SliceStack(list(zip(slices, [0.5, 1.0, 2.0])), omega=0.4)
+        trace = []
+        res = multislice_louvain(stack, seed=3, trace=trace)
+        assert trace[0] == multislice_score(stack, np.arange(36).reshape(3, 12).T)
+        assert trace[-1] == res.objective
+        assert all(b >= a_ - 1e-12 for a_, b in zip(trace, trace[1:]))
+
     def test_exhaustive_optimum_sample(self):
         # the full 100-graph sweep lives in the acceptance suite
         rng = np.random.default_rng(5)
@@ -205,6 +225,17 @@ class TestSliceStack:
     def test_rejects_zero_strength_slice(self):
         with pytest.raises(EmptyGraph, match="slice 1 has zero total strength"):
             SliceStack([(two_cliques(3), 1.0), (np.zeros((6, 6)), 2.0)], omega=1.0)
+
+    def test_shared_array_converted_once_first_slice_named(self):
+        a = two_cliques(3)
+        a[0, 1] = 2.0
+        # the first slice that holds the asymmetric array is named
+        with pytest.raises(DataError, match="slice 1 is not symmetric"):
+            SliceStack([(two_cliques(3), 1.0), (a, 2.0), (a, 3.0)], omega=1.0)
+        rows = two_cliques(3).tolist()
+        stack = SliceStack([(rows, 1.0), (rows, 2.0), (two_cliques(3), 3.0)], omega=1.0)
+        assert stack.slices[0][0] is stack.slices[1][0]
+        assert stack.slices[1][0] is not stack.slices[2][0]
 
 
 class TestMultisliceScore:
@@ -310,12 +341,37 @@ class TestMultisliceLouvain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # B is a CSR of n_slices dense n x n blocks plus 2n(n_slices - 1)
-        # couplings, at 8 bytes per value and 4 per int32 column index.
+        # An explicit B would be a CSR of n_slices dense n x n blocks plus
+        # 2n(n_slices - 1) couplings, at 8 bytes per value and 4 per int32
+        # column index. Louvain reads the one shared slice array instead and
+        # peaks near 0.38 b_bytes; building B alone peaked near 3.25.
         b_bytes = (n_slices * n * n + 2 * n * (n_slices - 1)) * 12
-        # Building B peaks near 3.25 b_bytes; one more full copy of B (such
-        # as an aggregation through the identity mapping) reaches 4.
-        assert peak < 3.6 * b_bytes
+        assert peak < 0.5 * b_bytes
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_explicit_supra_matrix_louvain(self, seed):
+        # Same assignment and objective as Louvain on the explicit B, with
+        # the same visiting order and move rule.
+        rng = np.random.default_rng(seed)
+        n, n_slices = int(rng.integers(3, 16)), int(rng.integers(1, 6))
+
+        def adjacency():
+            a = random_weighted_graph(rng, n)
+            if rng.random() < 0.5:
+                a += np.diag(rng.uniform(0.0, 1.0, n))
+            return a
+
+        shared = rng.random() < 0.5
+        slices = [adjacency()] * n_slices if shared else [adjacency() for _ in range(n_slices)]
+        if any(a.sum() == 0 for a in slices):
+            return
+        gammas = np.cumsum(rng.uniform(0.1, 1.0, n_slices)).tolist()
+        omega = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 2.0))
+        res = multislice_louvain(SliceStack(list(zip(slices, gammas)), omega), seed=seed % 1000)
+        assignment, quality = explicit_multislice_louvain(slices, gammas, omega, seed % 1000)
+        assert np.array_equal(res.assignment, assignment)
+        assert res.objective == pytest.approx(quality, abs=1e-12)
 
 
 class TestNetworkxCrossCheck:
@@ -338,6 +394,30 @@ class TestNetworkxCrossCheck:
             )
             assert modularity_score(a, labels, gamma) == pytest.approx(expected, abs=1e-12)
             checked += 1
+
+    def test_louvain_quality_against_networkx_louvain(self):
+        nx = pytest.importorskip("networkx")
+        # Graph i is drawn from seed i; both optimizers run with seed i and
+        # are scored by the same Q. Ours is lower on 56 of these 200 graphs,
+        # higher on 62 and equal on 82, by at most 0.014 and +0.0006 on
+        # average.
+        shortfalls = []
+        for i in range(200):
+            rng = np.random.default_rng(i)
+            n = int(rng.integers(8, 60))
+            a = random_weighted_graph(rng, n)
+            gamma = (0.5, 1.0, 2.0)[i % 3]
+            communities = nx.community.louvain_communities(
+                nx.from_numpy_array(a), weight="weight", resolution=gamma, seed=i
+            )
+            labels = np.empty(n, dtype=int)
+            for c, members in enumerate(communities):
+                labels[list(members)] = c
+            shortfalls.append(modularity_score(a, labels, gamma) - louvain(a, gamma, seed=i).objective)
+        shortfalls = np.array(shortfalls)
+        assert np.count_nonzero(shortfalls > 0) <= 0.3 * shortfalls.size
+        assert shortfalls.max() <= 0.02
+        assert shortfalls.mean() <= 0.0
 
 
 class TestMultisliceAssignment:
