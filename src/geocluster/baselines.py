@@ -57,8 +57,7 @@ def _log_gauss2d(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
     return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
 
 
-def fit_gmm(points: np.ndarray, k: int, seed: int,
-            tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> GmmFit:
+def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) -> GmmFit:
     """EM for a k-component full-covariance 2-D mixture.
 
     Initialized with k-means++ centers and one hard assignment pass.
@@ -67,10 +66,8 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
     the M-step is exact and the log-likelihood is nondecreasing.
 
     Stops when an E-step's log-likelihood exceeds the previous one by less
-    than `tol` per point, (L_t - L_{t-1}) / n < tol, or after `max_iter`
-    E-steps; `cap_hit` is set only in the second case. The default tol is
-    scikit-learn's on the same per-sample quantity, and being per point it
-    does not tighten with n.
+    than EM_TOL per point, (L_t - L_{t-1}) / n < EM_TOL, or after `max_iter`
+    E-steps; `cap_hit` is set only in the second case.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -95,7 +92,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int,
         top = log_prob.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
         history.append(float(log_norm.sum()))
-        if len(history) > 1 and (history[-1] - history[-2]) / n < tol:
+        if len(history) > 1 and (history[-1] - history[-2]) / n < EM_TOL:
             cap_hit = False
             break
         resp = np.exp(log_prob - log_norm[:, None])
@@ -150,7 +147,9 @@ def gmm_cluster(individuals: Sequence[Individual], k_components: int, seed: int)
     )
 
 
-def kmeans_columns(graph: GeoSocialGraph, k_clusters: int, seed: int) -> Partition:
-    """k-means where individual j's feature vector is column j of D^-1 W."""
+def kmeans_columns(graph: GeoSocialGraph, k_clusters: int,
+                   seeds: Sequence[int]) -> list[Partition]:
+    """k-means where individual j's feature vector is column j of D^-1 W,
+    one partition per seed; the features are built once and freed on return."""
     features = normalize(graph).T.copy()
-    return kmeans(features, k_clusters, seed)
+    return [kmeans(features, k_clusters, seed) for seed in seeds]

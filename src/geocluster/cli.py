@@ -187,15 +187,14 @@ def community_summaries(individuals, labels, assignment) -> list[dict]:
     return out
 
 
-def _score_runs(individuals, labels, seeds, lead: dict, fit, pick) -> dict:
-    """Record of one grid point: `lead`, then purity and z-Rand of the
-    partition `fit(seed)` for each seed with their mean/std (population std,
-    so a single run reports std = 0), and the communities of the run whose
+def _score_runs(individuals, labels, seeds, lead: dict, parts, pick) -> dict:
+    """Record of one grid point: `lead`, then purity and z-Rand of each
+    seed's partition in `parts` with their mean/std (population std, so a
+    single run reports std = 0), and the communities of the run whose
     objective `pick` (np.argmin or np.argmax) selects. A run record carries
     the partition's `convergence` counts after its `degenerate` flag."""
     runs = []
-    for seed in seeds:
-        part = fit(seed)
+    for seed, part in zip(seeds, parts):
         runs.append({
             "seed": int(seed),
             "purity": purity(labels, part),
@@ -226,7 +225,7 @@ def _score_spectral(individuals, labels, seeds, lead: dict, graph, k: int) -> di
     k-means on it once per seed; the lowest k-means objective is best."""
     coords = embed(graph, k).coords
     return _score_runs(individuals, labels, seeds, lead,
-                       lambda seed: kmeans(coords, k, seed), np.argmin)
+                       [kmeans(coords, k, seed) for seed in seeds], np.argmin)
 
 
 def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]:
@@ -408,12 +407,12 @@ def cmd_baselines(args) -> int:
     seeds = run_config["seeds"]
     out, individuals, social, labels, sigma = _load(args)
     gmm_record = _score_runs(individuals, labels, seeds, {},
-                             lambda seed: gmm_cluster(individuals, args.k, seed), np.argmax)
+                             [gmm_cluster(individuals, args.k, seed) for seed in seeds], np.argmax)
     columns, spectral = [], []
     for alpha in alphas:
         graph = build_weight_matrix(individuals, social, alpha, sigma)
         columns.append(_score_runs(individuals, labels, seeds, {"alpha": alpha},
-                                   lambda seed: kmeans_columns(graph, args.k, seed), np.argmin))
+                                   kmeans_columns(graph, args.k, seeds), np.argmin))
         spectral.append(_score_spectral(individuals, labels, seeds, {"alpha": alpha},
                                         graph, args.k))
         del graph  # free this n x n W before the next alpha builds its own

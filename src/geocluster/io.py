@@ -109,28 +109,17 @@ def save_dataset(individuals: Sequence[Individual], social: SocialMatrix,
         writer.writerows(ids[social.ij].tolist())
 
 
-def jsonable(value):
-    """Coerce numpy containers and scalars to plain JSON types, preserving
-    dict insertion order."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+def _plain(value):
+    """`json.dumps` hook: numpy arrays and scalars as plain JSON values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def save_results(report: dict, path) -> None:
     """Write a run report as stable, diffable JSON."""
     path = Path(path)
-    text = json.dumps(jsonable(report), indent=2, ensure_ascii=False)
+    text = json.dumps(report, indent=2, ensure_ascii=False, default=_plain)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -10,7 +10,7 @@ deviation under a hypergeometric null with the observed pair counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,16 +126,7 @@ class SocialDiagnostics:
     intra_fraction: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_contacts": self.n_contacts,
-            "degree_mean": self.degree_mean,
-            "degree_std": self.degree_std,
-            "degree_max": self.degree_max,
-            "n_isolates": self.n_isolates,
-            "isolate_fraction": self.isolate_fraction,
-            "intra_fraction": self.intra_fraction,
-        }
+        return asdict(self)
 
 
 def intra_contact_count(labels, social: SocialMatrix) -> int:

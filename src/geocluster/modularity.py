@@ -11,6 +11,15 @@ weight omega; quality is then evaluated against the per-slice null model
 plus the coupling term, normalized by
 2*mu = sum_s sum(d_s) + 2 * omega * n * (#adjacent slice pairs).
 
+`SliceStack` owns the slice model: it converts, validates and row-sums each
+distinct slice array once (the CLI's slices all share one), and records
+which array each slice reads, the strengths d of each, each slice's 2m and
+the array Louvain indexes. The move gain assumes symmetric weights, so it
+rejects a slice that is not exactly symmetric. The single-slice `louvain`
+and `modularity_score` symmetrize their input as (A + A^T) / 2 and run it
+as a one-slice stack at omega = 0; for an asymmetric A this changes Q,
+because the strengths d are then row sums of the symmetrized matrix.
+
 Louvain never forms the supra-matrix B (B = A - gamma * d d^T / sum(d) per
 slice, plus omega couplings). It alternates greedy moves in seeded random
 order with aggregation of communities into supervertices, and sums each
@@ -20,17 +29,12 @@ are aggregated), and the copies of its members in the adjacent slices.
 Aggregation only records which supervertex each (vertex, slice) belongs
 to, so memory is the slices plus O(n_slices * (n + K)) at a level of K
 supervertices.
-The move gain assumes symmetric weights, so `SliceStack` rejects a slice
-that is not exactly symmetric. The single-slice `louvain` and
-`modularity_score` symmetrize their input as (A + A^T) / 2 and run it as a
-one-slice stack at omega = 0; for an asymmetric A this changes Q, because
-the strengths d are then row sums of the symmetrized matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,34 +56,43 @@ class DimensionMismatch(DataError):
 class SliceStack:
     """Ordered (adjacency, gamma) slices over one vertex set, plus the
     interslice coupling omega (nearest neighbors in gamma order). Slices
-    may share one array object; Louvain then reads it without a copy."""
+    may share one array object. Slice s reads distinct array a[which[s]],
+    a view when all slices share one, with strengths d[which[s]] and sum twom[s]."""
 
     slices: list[tuple[np.ndarray, float]]
     omega: float
+    which: np.ndarray = field(init=False)
+    d: np.ndarray = field(init=False)
+    twom: np.ndarray = field(init=False)
+    a: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.slices:
             raise DataError("slice stack is empty")
-        # Convert each distinct input object once, so slices that share an
-        # array keep sharing it; validate each distinct array once.
-        arrays: dict[int, np.ndarray] = {}
-        for a, _ in self.slices:
-            if id(a) not in arrays:
-                arrays[id(a)] = np.asarray(a, dtype=float)
-        self.slices = [(arrays[id(a)], float(g)) for a, g in self.slices]
+        self.slices = [(a, float(g)) for a, g in self.slices]
         check_slice_params(self.gammas, self.omega)
-        n = self.slices[0][0].shape[0]
-        checked = set()
+        # Convert, check and sum each distinct object once; shared ones stay shared.
+        index: dict[int, int] = {}
+        arrays, strengths = [], []
         for s, (a, _) in enumerate(self.slices):
-            if a.shape != (n, n):
-                raise DataError("all slices must share the same square shape")
-            if id(a) in checked:
+            if id(a) in index:
                 continue
-            checked.add(id(a))
+            index[id(a)] = len(arrays)
+            a = np.asarray(a, dtype=float)
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or (arrays and a.shape != arrays[0].shape):
+                raise DataError("all slices must share the same square shape")
             if not np.array_equal(a, a.T):
                 raise DataError(f"slice {s} is not symmetric")
-            if float(a.sum(axis=1).sum()) == 0.0:
+            strengths.append(a.sum(axis=1))
+            if float(strengths[-1].sum()) == 0.0:
                 raise EmptyGraph(f"slice {s} has zero total strength")
+            arrays.append(a)
+        self.which = np.array([index[id(a)] for a, _ in self.slices])
+        self.d = np.array(strengths)
+        self.twom = self.d.sum(axis=1)[self.which]
+        self.a = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        views = list(self.a)  # so the stack holds each array once
+        self.slices = [(views[w], g) for w, (_, g) in zip(self.which, self.slices)]
 
     @property
     def n(self) -> int:
@@ -151,27 +164,6 @@ def check_slice_params(gammas: list[float], omega: float) -> None:
         raise DataError(f"interslice coupling omega must be finite and nonnegative, got {omega}")
 
 
-class _SupraGraph:
-    """The supra-graph of a stack, read from its slices and never formed:
-    vertex v of slice s is supra-vertex s * n + v, and its quality row is
-    A_s[v] - gamma_s * d_v * d_s / sum(d_s) within slice s plus omega toward
-    its copies in slices s - 1 and s + 1."""
-
-    def __init__(self, stack: SliceStack) -> None:
-        ids: dict[int, int] = {}
-        self.which = np.array([ids.setdefault(id(a), len(ids)) for a, _ in stack.slices])
-        arrays = list({id(a): a for a, _ in stack.slices}.values())
-        # One shared array (the CLI's case) is read through a view, not copied.
-        self.a = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-        self.d = np.array([a.sum(axis=1) for a in arrays])
-        self.gamma = np.array(stack.gammas)
-        self.twom = np.array([float(self.d[w].sum()) for w in self.which])
-        self.omega = stack.omega
-        self.n, self.n_slices = stack.n, stack.n_slices
-        self.slice_of, self.vertex_of = np.divmod(np.arange(self.n * self.n_slices), self.n)
-        self.strength = self.d[self.which[self.slice_of], self.vertex_of]
-
-
 class _Vertices:
     """Links of single supra-vertices, each summed in the order of its sparse
     row in the explicit supra-matrix (the coupling to slice s - 1, slice s,
@@ -179,11 +171,11 @@ class _Vertices:
     vertex's own entry and an absent coupling add 0.0 to its own bin, which
     leaves every sum unchanged."""
 
-    def __init__(self, graph: _SupraGraph, labels: np.ndarray) -> None:
-        self.n, self.n_slices, self.omega = graph.n, graph.n_slices, graph.omega
-        self.a = [graph.a[w] for w in graph.which]
-        self.d = [graph.d[w] for w in graph.which]
-        self.gamma, self.twom = graph.gamma.tolist(), graph.twom.tolist()
+    def __init__(self, stack: SliceStack, labels: np.ndarray) -> None:
+        self.n, self.n_slices, self.omega = stack.n, stack.n_slices, stack.omega
+        self.a = [a for a, _ in stack.slices]
+        self.d = [stack.d[w] for w in stack.which]
+        self.gamma, self.twom = stack.gammas, stack.twom.tolist()
         self.comm = labels.copy()
         self.bins = np.zeros(self.n + 2, dtype=int)
         self.weights = np.zeros(self.n + 2)
@@ -218,50 +210,46 @@ class _Supervertices:
     A_s[v, u] over the u of c in slice s, less gamma_s * d_v * D[s, c] /
     sum(d_s), plus omega for each coupled copy in c."""
 
-    def __init__(self, graph: _SupraGraph, member: np.ndarray, labels: np.ndarray) -> None:
-        k, n_slices = labels.size, graph.n_slices
-        self.graph, self.comm, self.k = graph, labels[member], k
-        self.comm_by_slice = self.comm.reshape(n_slices, graph.n)
+    def __init__(self, stack: SliceStack, member: np.ndarray, labels: np.ndarray) -> None:
+        k, n, n_slices = labels.size, stack.n, stack.n_slices
+        self.stack, self.comm, self.k = stack, labels[member], k
+        self.comm_by_slice = self.comm.reshape(n_slices, n)
         self.order = np.argsort(member, kind="stable")
         self.bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=k))))
-        s = graph.slice_of[self.order]
-        self.slice_of, self.vertex_of = s, graph.vertex_of[self.order]
-        self.layer_of = graph.which[s]
+        s, v = self.slice_of, self.vertex_of = np.divmod(self.order, n)
+        self.layer_of = stack.which[s]
+        cells = member[self.order] * n_slices + s
         # Whether a supervertex has two members in one slice.
-        same = np.zeros(s.size, dtype=bool)
-        same[1:] = s[1:] == s[:-1]
-        same[self.bounds[:-1]] = False
-        self.repeats = np.add.reduceat(same, self.bounds[:-1])
-        # Per supervertex and slice: its strength, and that strength times
-        # gamma_s / sum(d_s).
-        cells = member * n_slices + graph.slice_of
-        self.strength = np.bincount(cells, graph.strength, minlength=k * n_slices).reshape(k, n_slices)
-        self.scale = self.strength * (graph.gamma / graph.twom)
+        self.repeats = np.add.reduceat(np.diff(cells, prepend=-1) == 0, self.bounds[:-1])
+        # Per supervertex and slice: its strength, and that times gamma_s / 2m_s.
+        strength = stack.d[self.layer_of, v]
+        self.strength = np.bincount(cells, strength, minlength=k * n_slices).reshape(k, n_slices)
+        self.scale = self.strength * (np.array(stack.gammas) / stack.twom)
         self.table = np.zeros((n_slices, k + 1))
         np.add.at(self.table.T, labels, self.strength)
         # Coupled pairs (x, y) of copies in adjacent slices, grouped by the
         # supervertex of x.
-        upper = np.arange(graph.n if graph.omega > 0.0 else member.size, member.size)
-        src = np.concatenate((upper, upper - graph.n))
-        dst = np.concatenate((upper - graph.n, upper))
+        upper = np.arange(n if stack.omega > 0.0 else member.size, member.size)
+        src = np.concatenate((upper, upper - n))
+        dst = np.concatenate((upper - n, upper))
         self.coupled = dst[np.argsort(member[src], kind="stable")]
         self.coupled_bounds = np.concatenate(([0], np.cumsum(np.bincount(member[src], minlength=k))))
 
     def take_out(self, c: int) -> np.ndarray:
-        g, comm, k = self.graph, self.comm, self.k
+        stack, comm, k = self.stack, self.comm, self.k
         lo, hi = self.bounds[c], self.bounds[c + 1]
         x = self.order[lo:hi]
         s = self.slice_of[lo:hi]
         self.table[:, comm[x[0]]] -= self.strength[c]
         comm[x] = k  # its own bin, dropped by the caller
-        rows = g.a[self.layer_of[lo:hi], self.vertex_of[lo:hi]]
+        rows = stack.a[self.layer_of[lo:hi], self.vertex_of[lo:hi]]
         if self.repeats[c]:  # sum the rows of each slice before binning
             starts = np.flatnonzero(np.diff(s, prepend=-1))
             rows = np.array([r.sum(axis=0) for r in np.split(rows, starts[1:])])
             s = s[starts]
         link = np.bincount(self.comm_by_slice[s].ravel(), rows.ravel(), minlength=k + 1)
         coupled = self.coupled[self.coupled_bounds[c]:self.coupled_bounds[c + 1]]
-        np.add.at(link, comm[coupled], g.omega)
+        np.add.at(link, comm[coupled], stack.omega)
         link -= self.scale[c] @ self.table
         return link
 
@@ -270,7 +258,7 @@ class _Supervertices:
         self.table[:, label] += self.strength[c]
 
 
-def _local_phase(graph: _SupraGraph, member: np.ndarray, labels: np.ndarray,
+def _local_phase(stack: SliceStack, member: np.ndarray, labels: np.ndarray,
                  rng: np.random.Generator) -> bool:
     """Greedy moves of whole supervertices until a full sweep makes none;
     member[x] is the supervertex of supra-vertex x, labels[c] the
@@ -284,7 +272,7 @@ def _local_phase(graph: _SupraGraph, member: np.ndarray, labels: np.ndarray,
     never moves to an empty community.
     """
     k = labels.size
-    links = _Vertices(graph, labels) if k == member.size else _Supervertices(graph, member, labels)
+    links = _Vertices(stack, labels) if k == member.size else _Supervertices(stack, member, labels)
     improved = False
     while True:
         moved = 0
@@ -337,12 +325,10 @@ def multislice_score(stack: SliceStack, assignment) -> float:
         )
     total = 0.0
     strength_total = 0.0
-    for s, (a, gamma) in enumerate(stack.slices):
-        d = a.sum(axis=1)
-        sd = float(d.sum())
-        intra, null_sq = _delta_sums(a, d, g[:, s])
-        total += intra - gamma * null_sq / sd
-        strength_total += sd
+    for s, ((a, gamma), twom) in enumerate(zip(stack.slices, stack.twom.tolist())):
+        intra, null_sq = _delta_sums(a, stack.d[stack.which[s]], g[:, s])
+        total += intra - gamma * null_sq / twom
+        strength_total += twom
     for s in range(n_slices - 1):
         matches = int(np.count_nonzero(g[:, s] == g[:, s + 1]))
         total += 2.0 * stack.omega * matches
@@ -362,7 +348,6 @@ def multislice_louvain(stack: SliceStack, seed: int,
     flattened partition after initialization and after each level.
     """
     n, n_slices = stack.n, stack.n_slices
-    graph = _SupraGraph(stack)
     rng = np.random.default_rng(seed)
     singletons = np.arange(n * n_slices)
     mapping = singletons
@@ -370,13 +355,13 @@ def multislice_louvain(stack: SliceStack, seed: int,
         if trace is not None:
             trace.append(multislice_score(stack, mapping.reshape(n_slices, n).T))
         labels = np.arange(int(mapping.max()) + 1)
-        if _local_phase(graph, mapping, labels, rng):
+        if _local_phase(stack, mapping, labels, rng):
             mapping = relabel_first_occurrence(labels)[mapping]
             continue
         refined = mapping.copy()
-        if not _local_phase(graph, singletons, refined, rng):
+        if not _local_phase(stack, singletons, refined, rng):
             break
         mapping = relabel_first_occurrence(refined)
-    assignment = relabel_first_occurrence(mapping).reshape(n_slices, n).T.copy()
-    msa = MultisliceAssignment(assignment)
-    return MultisliceAssignment(assignment, objective=multislice_score(stack, msa))
+    result = MultisliceAssignment(relabel_first_occurrence(mapping).reshape(n_slices, n).T.copy())
+    result.objective = multislice_score(stack, result)
+    return result

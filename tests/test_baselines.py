@@ -110,13 +110,13 @@ class TestKmeansColumns:
         pairs = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         social = SocialMatrix.from_pairs(6, pairs)
         g = build_weight_matrix(inds, social, 1.0, 100.0)
-        part = kmeans_columns(g, 2, seed=0)
+        [part] = kmeans_columns(g, 2, seeds=[0])
         assert np.array_equal(part.assignment, [0, 0, 0, 1, 1, 1])
 
     def test_identity_graph_k_equals_n_singletons(self):
         inds = [Individual(f"p{i}", 1e5 * i, 0.0) for i in range(5)]
         g = build_weight_matrix(inds, SocialMatrix.from_pairs(5, []), 1.0, 10.0)
-        part = kmeans_columns(g, 5, seed=0)
+        [part] = kmeans_columns(g, 5, seeds=[0])
         assert part.k == 5
 
 
@@ -141,7 +141,7 @@ def calibrated_runs(hollenbeck):
                 [kmeans(emb.coords, 31, seed=100 + r) for r in range(10)], labels
             ),
             "columns": _run_stats(
-                [kmeans_columns(g, 31, seed=100 + r) for r in range(10)], labels
+                kmeans_columns(g, 31, seeds=range(100, 110)), labels
             ),
         }
     return out

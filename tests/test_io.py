@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from geocluster.io import (
     ParseError,
     SelfContact,
     UnknownId,
-    jsonable,
     load_dataset,
     load_results,
     save_dataset,
@@ -98,22 +96,26 @@ class TestRoundTrip:
         assert loaded["config"]["alpha"] == 0.4
         assert loaded["results"][0]["assignment"] == [0, 1, 0]
 
+    def test_numpy_scalars_and_arrays(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_results({"a": np.float64(1.5), "b": np.int64(2), "c": np.arange(3),
+                      "d": np.bool_(True), "e": np.arange(4.0).reshape(2, 2)}, path)
+        loaded = load_results(path)
+        assert loaded == {"a": 1.5, "b": 2, "c": [0, 1, 2], "d": True,
+                          "e": [[0.0, 1.0], [2.0, 3.0]]}
+        assert [type(v) for v in loaded.values()] == [float, int, list, bool, list]
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            save_results({"f": object()}, path)
+
+    def test_preserves_key_order(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_results({"z": 1, "a": 2}, path)
+        assert list(load_results(path)) == ["z", "a"]
+
     def test_empty_results_is_valid_json(self, tmp_path):
         path = tmp_path / "empty.json"
         save_results({"command": "spectral", "results": []}, path)
         assert load_results(path)["results"] == []
-
-
-class TestJsonable:
-    def test_numpy_scalars_and_arrays(self):
-        out = jsonable({"a": np.float64(1.5), "b": np.int64(2), "c": np.arange(3),
-                        "d": np.bool_(True)})
-        assert out == {"a": 1.5, "b": 2, "c": [0, 1, 2], "d": True}
-        json.dumps(out)
-
-    def test_preserves_key_order(self):
-        out = jsonable({"z": 1, "a": 2})
-        assert list(out) == ["z", "a"]
 
 
 class TestPlotCsv:

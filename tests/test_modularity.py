@@ -222,6 +222,16 @@ class TestSliceStack:
         with pytest.raises(DataError, match="slice 1 is not symmetric"):
             SliceStack([(two_cliques(3), 1.0), (a, 2.0)], omega=1.0)
 
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones(3), np.ones((2, 3)),
+                                     np.ones((2, 2, 2)), np.ones((3, 3))])
+    def test_rejects_slice_not_square_matrix(self, bad):
+        match = "all slices must share the same square shape"
+        if bad.shape != (3, 3):
+            with pytest.raises(DataError, match=match):
+                SliceStack([(bad, 1.0)], omega=1.0)
+        with pytest.raises(DataError, match=match):
+            SliceStack([(np.ones((2, 2)), 1.0), (bad, 2.0)], omega=1.0)
+
     def test_rejects_zero_strength_slice(self):
         with pytest.raises(EmptyGraph, match="slice 1 has zero total strength"):
             SliceStack([(two_cliques(3), 1.0), (np.zeros((6, 6)), 2.0)], omega=1.0)
@@ -264,11 +274,13 @@ class TestMultisliceScore:
 
     def test_matches_naive_quadruple_loop(self):
         rng = np.random.default_rng(8)
-        for _ in range(30):
+        for trial in range(31):
             slices = [random_weighted_graph(rng, 4) + np.eye(4) * 0.2 for _ in range(2)]
             gammas = [0.7, 1.4]
+            if trial == 30:  # one array shared by the outer slices, a distinct one between
+                slices, gammas = [slices[0], slices[1], slices[0]], [0.5, 1.0, 2.0]
             omega = float(rng.uniform(0, 2))
-            assignment = rng.integers(0, 3, size=(4, 2))
+            assignment = rng.integers(0, 3, size=(4, len(slices)))
             stack = SliceStack(list(zip(slices, gammas)), omega=omega)
             assert multislice_score(stack, assignment) == pytest.approx(
                 naive_multislice(slices, gammas, omega, assignment), abs=1e-12
