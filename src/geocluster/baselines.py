@@ -14,6 +14,9 @@ A rule on the per-point gain stops a fit of n points at the same iteration
 as a fit of those points repeated; a tolerance on the total log-likelihood
 tightens as n grows (1e-8 on a total near -1.2e4 sent 7 of 10 fits on the
 748-point acceptance dataset to the 500-iteration cap).
+
+Each EM step is one whole-array expression over all k components (an (n, k)
+E-step, batched M-step matmuls and eigenvalue floor); only the iteration loops.
 """
 
 from __future__ import annotations
@@ -45,15 +48,12 @@ class GmmFit:
     cap_hit: bool
 
 
-def _log_gauss2d(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-    diff = points - mean
-    quad = (
-        inv[0, 0] * diff[:, 0] ** 2
-        + (inv[0, 1] + inv[1, 0]) * diff[:, 0] * diff[:, 1]
-        + inv[1, 1] * diff[:, 1] ** 2
-    )
+def _log_gauss2d(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """(n, k) log-densities of every point under every 2-D Gaussian."""
+    det = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0]
+    cross = -covs[:, 0, 1] / det + -covs[:, 1, 0] / det
+    dx, dy = (points[:, None, :] - means[None, :, :]).transpose(2, 0, 1)
+    quad = covs[:, 1, 1] / det * dx ** 2 + cross * dx * dy + covs[:, 0, 0] / det * dy ** 2
     return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
 
 
@@ -73,22 +73,17 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     n = points.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")
-    rng = np.random.default_rng(seed)
     reg = COV_REG * max(float(points.var(axis=0).mean()), 1e-300)
 
-    means = kmeans_pp_init(points, k, rng)
+    means = kmeans_pp_init(points, k, np.random.default_rng(seed))
     d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    resp = np.zeros((n, k))
-    resp[np.arange(n), d2.argmin(axis=1)] = 1.0
+    resp = np.eye(k)[d2.argmin(axis=1)]
     weights, means, covs = _m_step(points, resp, reg)
 
     history: list[float] = []
     cap_hit = True
     for _ in range(max_iter):
-        log_prob = np.column_stack(
-            [np.log(max(weights[i], 1e-300)) + _log_gauss2d(points, means[i], covs[i])
-             for i in range(k)]
-        )
+        log_prob = np.log(np.maximum(weights, 1e-300)) + _log_gauss2d(points, means, covs)
         top = log_prob.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
         history.append(float(log_norm.sum()))
@@ -104,30 +99,27 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
 
 
 def _m_step(points: np.ndarray, resp: np.ndarray, reg: float):
-    n, k = resp.shape
     mass = resp.sum(axis=0)
-    weights = mass / n
-    means = np.zeros((k, 2))
-    covs = np.zeros((k, 2, 2))
-    for i in range(k):
-        if mass[i] < 1e-12:
-            # Dead component: keep it harmlessly wide instead of failing.
-            means[i] = points.mean(axis=0)
-            covs[i] = np.eye(2) * max(reg / COV_REG, reg)
-            continue
-        means[i] = resp[:, i] @ points / mass[i]
-        diff = points - means[i]
-        covs[i] = _floor_eigenvalues((resp[:, i, None] * diff).T @ diff / mass[i], reg)
-    return weights, means, covs
+    dead = mass < 1e-12  # kept harmlessly wide at the data mean
+    # Refit every column of the full `resp`, then patch the dead rows: a
+    # `resp[:, live]` copy is F-ordered and its matmul rounds differently,
+    # and the unit divisor keeps a zero mass from warning.
+    safe = np.where(dead, 1.0, mass)
+    means = resp.T @ points / safe[:, None]
+    diff = points[None, :, :] - means[:, None, :]
+    covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / safe[:, None, None]
+    covs = _floor_eigenvalues(covs, reg)
+    means[dead] = points.mean(axis=0)
+    covs[dead] = np.eye(2) * max(reg / COV_REG, reg)
+    return mass / resp.shape[0], means, covs
 
 
-def _floor_eigenvalues(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Clip the eigenvalues of a symmetric 2x2 matrix from below."""
-    sym = 0.5 * (cov + cov.T)
+def _floor_eigenvalues(covs: np.ndarray, floor: float) -> np.ndarray:
+    """Clip the eigenvalues of each symmetric 2x2 matrix in a stack from below."""
+    sym = 0.5 * (covs + covs.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= floor:
-        return sym
-    return (vecs * np.maximum(vals, floor)) @ vecs.T
+    clipped = (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return np.where(vals[:, :1, None] >= floor, sym, clipped)
 
 
 def gmm_assign(points: np.ndarray, fit: GmmFit) -> np.ndarray:

@@ -53,9 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a calibrated synthetic dataset")
     p.add_argument("--preset", default="hollenbeck", choices=["hollenbeck"])
-    p.add_argument("--n-members", type=int, default=None)
-    p.add_argument("--n-groups", type=int, default=None)
-    p.add_argument("--spread", type=float, default=None, help="territory spatial spread (m)")
+    p.add_argument("--n-members", type=int, default=SynthConfig.n_members)
+    p.add_argument("--n-groups", type=int, default=SynthConfig.n_groups)
+    p.add_argument("--spread", type=float, default=SynthConfig.spatial_spread,
+                   help="territory spatial spread (m)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for the CSV pair")
     p.set_defaults(func=cmd_generate)
@@ -236,14 +237,8 @@ def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]
 
 
 def cmd_generate(args) -> int:
-    overrides = {}
-    if args.n_members is not None:
-        overrides["n_members"] = args.n_members
-    if args.n_groups is not None:
-        overrides["n_groups"] = args.n_groups
-    if args.spread is not None:
-        overrides["spatial_spread"] = args.spread
-    config = SynthConfig(seed=args.seed, **overrides)
+    config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups,
+                         spatial_spread=args.spread, seed=args.seed)
 
     out_dir = _out_path(args.out)
     out_dir.mkdir(exist_ok=True)

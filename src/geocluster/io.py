@@ -56,43 +56,52 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
     self-contacts and contacts whose ids do not resolve."""
     individuals: list[Individual] = []
     index: dict[str, int] = {}
-    with open(files.individuals_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(files.individuals_csv, reader.fieldnames, ("id", "x", "y", "gang"))
-        for line_no, row in enumerate(reader, start=2):
-            ident = (row["id"] or "").strip()
-            if not ident:
-                raise ParseError(files.individuals_csv, line_no, "empty id")
-            if ident in index:
-                raise ParseError(files.individuals_csv, line_no, f"duplicate id {ident!r}")
-            try:
-                x, y = float(row["x"]), float(row["y"])
-            except (TypeError, ValueError):
-                raise ParseError(files.individuals_csv, line_no, "bad coordinate") from None
-            gang = (row["gang"] or "").strip() or None
-            index[ident] = len(individuals)
-            individuals.append(Individual(id=ident, x=x, y=y, gang=gang))
+    for line_no, (ident, x, y, gang) in _read_rows(files.individuals_csv, ("id", "x", "y", "gang")):
+        ident = ident.strip()
+        if not ident:
+            raise ParseError(files.individuals_csv, line_no, "empty id")
+        if ident in index:
+            raise ParseError(files.individuals_csv, line_no, f"duplicate id {ident!r}")
+        try:
+            x, y = float(x), float(y)
+        except ValueError:
+            raise ParseError(files.individuals_csv, line_no, "bad coordinate") from None
+        index[ident] = len(individuals)
+        individuals.append(Individual(id=ident, x=x, y=y, gang=gang.strip() or None))
 
     pairs: list[tuple[int, int]] = []
-    with open(files.contacts_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(files.contacts_csv, reader.fieldnames, ("id_a", "id_b"))
-        for line_no, row in enumerate(reader, start=2):
-            a, b = (row["id_a"] or "").strip(), (row["id_b"] or "").strip()
-            if a not in index:
-                raise UnknownId(a)
-            if b not in index:
-                raise UnknownId(b)
-            if a == b:
-                raise SelfContact(a)
-            pairs.append((index[a], index[b]))
+    for _, (a, b) in _read_rows(files.contacts_csv, ("id_a", "id_b")):
+        a, b = a.strip(), b.strip()
+        if a not in index:
+            raise UnknownId(a)
+        if b not in index:
+            raise UnknownId(b)
+        if a == b:
+            raise SelfContact(a)
+        pairs.append((index[a], index[b]))
     return individuals, SocialMatrix.from_pairs(len(individuals), pairs)
 
 
-def _require_columns(path, fieldnames, required) -> None:
-    missing = [c for c in required if fieldnames is None or c not in fieldnames]
-    if missing:
-        raise ParseError(path, 1, f"missing required columns {missing}")
+def _read_rows(path, required) -> list[tuple[int, list[str]]]:
+    """(line number, required fields) for each nonblank row of a UTF-8 CSV,
+    BOM or not; a header that repeats a name or a row whose field count
+    differs from the header's is a `ParseError`."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(path, 1, f"missing required columns {missing}")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ParseError(path, 1, f"repeated columns {repeated}")
+        cols = [header.index(c) for c in required]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ParseError(path, reader.line_num, f"has {len(row)} fields, not {len(header)}")
+            rows.append((reader.line_num, [row[i] for i in cols]))
+    return rows
 
 
 def save_dataset(individuals: Sequence[Individual], social: SocialMatrix,

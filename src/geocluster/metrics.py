@@ -64,12 +64,6 @@ def contingency_table(labels, partition) -> tuple[np.ndarray, np.ndarray, np.nda
     return names, ids, counts.reshape(names.size, ids.size)
 
 
-def plurality_label(members) -> str:
-    """Most frequent label in a community (ties as in `contingency_table`)."""
-    names, _, table = contingency_table(members, np.zeros(np.shape(members), dtype=int))
-    return names[table.argmax()].item()
-
-
 def purity(labels, partition) -> float:
     """Fraction of individuals matching their community's plurality label."""
     _, _, table = contingency_table(labels, partition)

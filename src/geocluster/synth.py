@@ -168,8 +168,7 @@ def _group_sizes(config: SynthConfig, spread_factor: np.ndarray,
     sizes = np.floor(raw).astype(int)
     remainder = raw - sizes
     short = spare - int(sizes.sum())
-    for g in np.argsort(remainder, kind="stable")[::-1][:short]:
-        sizes[g] += 1
+    sizes[np.argsort(remainder, kind="stable")[::-1][:short]] += 1
     return sizes + MIN_GROUP_SIZE
 
 

@@ -14,6 +14,9 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
+from geocluster.baselines import COV_REG, EM_TOL, GmmFit
+from geocluster.spectral import kmeans_pp_init
+
 
 def naive_weight_matrix(points, contact_pairs, alpha, sigma):
     """Entry-by-entry evaluation of the blended weight formula."""
@@ -375,3 +378,79 @@ def explicit_multislice_louvain(adjacencies, gammas, omega, seed):
     mapping = _first_occurrence(mapping)
     quality = float(_explicit_aggregate(b0, mapping).diagonal().sum()) / two_mu
     return mapping.reshape(n_slices, n).T.copy(), quality
+
+
+def loop_fit_gmm(points, k, seed, max_iter=500):
+    """The mixture EM one component at a time: a (n, k) log-density matrix
+    stacked column by column, an M-step that walks the components with a
+    dead-component branch, and one 2x2 eigenvalue floor per call. Only the
+    k-means++ seeding, the constants and `GmmFit` are shared with `fit_gmm`."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    reg = COV_REG * max(float(points.var(axis=0).mean()), 1e-300)
+
+    means = kmeans_pp_init(points, k, rng)
+    d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    resp = np.zeros((n, k))
+    resp[np.arange(n), d2.argmin(axis=1)] = 1.0
+    weights, means, covs = loop_m_step(points, resp, reg)
+
+    history = []
+    cap_hit = True
+    for _ in range(max_iter):
+        log_prob = np.column_stack(
+            [np.log(max(weights[i], 1e-300)) + _loop_log_gauss2d(points, means[i], covs[i])
+             for i in range(k)]
+        )
+        top = log_prob.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
+        history.append(float(log_norm.sum()))
+        if len(history) > 1 and (history[-1] - history[-2]) / n < EM_TOL:
+            cap_hit = False
+            break
+        resp = np.exp(log_prob - log_norm[:, None])
+        weights, means, covs = loop_m_step(points, resp, reg)
+
+    scales = np.sqrt(0.5 * (covs[:, 0, 0] + covs[:, 1, 1]))
+    return GmmFit(means=means, covariances=covs, weights=weights,
+                  log_likelihoods=history, scales=scales, cap_hit=cap_hit)
+
+
+def _loop_log_gauss2d(points, mean, cov):
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
+    diff = points - mean
+    quad = (
+        inv[0, 0] * diff[:, 0] ** 2
+        + (inv[0, 1] + inv[1, 0]) * diff[:, 0] * diff[:, 1]
+        + inv[1, 1] * diff[:, 1] ** 2
+    )
+    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
+
+
+def loop_m_step(points, resp, reg):
+    n, k = resp.shape
+    mass = resp.sum(axis=0)
+    weights = mass / n
+    means = np.zeros((k, 2))
+    covs = np.zeros((k, 2, 2))
+    for i in range(k):
+        if mass[i] < 1e-12:
+            # Dead component: keep it harmlessly wide instead of failing.
+            means[i] = points.mean(axis=0)
+            covs[i] = np.eye(2) * max(reg / COV_REG, reg)
+            continue
+        means[i] = resp[:, i] @ points / mass[i]
+        diff = points - means[i]
+        covs[i] = _loop_floor_eigenvalues((resp[:, i, None] * diff).T @ diff / mass[i], reg)
+    return weights, means, covs
+
+
+def _loop_floor_eigenvalues(cov, floor):
+    """Clip the eigenvalues of a symmetric 2x2 matrix from below."""
+    sym = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(sym)
+    if vals[0] >= floor:
+        return sym
+    return (vecs * np.maximum(vals, floor)) @ vecs.T

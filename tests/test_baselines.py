@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from geocluster.baselines import fit_gmm, gmm_assign, gmm_cluster, kmeans_columns
+from geocluster.baselines import (
+    COV_REG,
+    _m_step,
+    fit_gmm,
+    gmm_assign,
+    gmm_cluster,
+    kmeans_columns,
+)
 from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, locations
 from geocluster.metrics import purity
+
+from oracles import loop_fit_gmm, loop_m_step
 
 
 def blob_points(rng, centers, per_blob, spread):
@@ -76,6 +85,43 @@ class TestFitGmm:
         assert short.cap_hit and len(short.log_likelihoods) == m - 1
         forced = fit_gmm(pts, 3, seed=0, max_iter=1)
         assert forced.cap_hit and len(forced.log_likelihoods) == 1
+
+    def test_matches_per_component_oracle(self):
+        # Random instances, a third with every point repeated three times and
+        # a third with two co-located halves, where components die.
+        rng = np.random.default_rng(11)
+        n_dead = 0
+        for trial in range(60):
+            n = int(rng.integers(6, 70))
+            pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0)
+            if trial % 3 == 1:
+                pts = np.repeat(pts[: n // 3 + 1], 3, axis=0)
+            elif trial % 3 == 2:
+                pts[: n // 2], pts[n // 2:] = pts[0].copy(), pts[-1].copy()
+            k = int(rng.integers(1, min(len(pts), 10) + 1))
+            fit = fit_gmm(pts, k, seed=trial)
+            ref = loop_fit_gmm(pts, k, seed=trial)
+            assert len(fit.log_likelihoods) == len(ref.log_likelihoods), trial
+            assert fit.cap_hit == ref.cap_hit, trial
+            np.testing.assert_array_equal(gmm_assign(pts, fit), gmm_assign(pts, ref))
+            for got, want in ((fit.log_likelihoods, ref.log_likelihoods),
+                              (fit.means, ref.means), (fit.covariances, ref.covariances)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            n_dead += bool(np.any(ref.weights * len(pts) < 1e-12))
+        assert n_dead > 0
+
+    def test_m_step_dead_component_is_wide_at_data_mean(self):
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(25, 2)) * [3.0, 0.5]
+        p = rng.uniform(size=25)
+        resp = np.column_stack([p, np.zeros(25), 1.0 - p])
+        reg = COV_REG * pts.var(axis=0).mean()
+        weights, means, covs = _m_step(pts, resp, reg)
+        assert weights[1] == 0.0
+        np.testing.assert_array_equal(means[1], pts.mean(axis=0))
+        np.testing.assert_array_equal(covs[1], np.eye(2) * max(reg / COV_REG, reg))
+        for got, want in zip((weights, means, covs), loop_m_step(pts, resp, reg)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_scales_are_sqrt_mean_cov_eigenvalues(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,15 @@
 
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geocluster.errors import DataError
 from geocluster.graph import Individual
 from geocluster.io import (
     DatasetFiles,
@@ -67,6 +75,42 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(files)
 
+    def test_repeated_header_column(self, tmp_path):
+        files = DatasetFiles.in_dir(tmp_path)
+        files.individuals_csv.write_text("id,x,y,gang,x\na,1,2,g,5\n")
+        files.contacts_csv.write_text("id_a,id_b\n")
+        with pytest.raises(ParseError, match=r"individuals\.csv:1: .*\['x'\]"):
+            load_dataset(files)
+        files = write_dataset(tmp_path, ["a,0,0,"], [])
+        files.contacts_csv.write_text("id_a,id_b,id_a\n")
+        with pytest.raises(ParseError, match=r"contacts\.csv:1: "):
+            load_dataset(files)
+
+    @pytest.mark.parametrize("row", ["b,1,1", "b,1,1,g,extra"])
+    def test_ragged_individuals_row(self, tmp_path, row):
+        files = write_dataset(tmp_path, ["a,0,0,", row], [])
+        with pytest.raises(ParseError, match=r"individuals\.csv:3: "):
+            load_dataset(files)
+
+    @pytest.mark.parametrize("row", ["a", "a,b,c"])
+    def test_ragged_contacts_row(self, tmp_path, row):
+        files = write_dataset(tmp_path, ["a,0,0,", "b,1,1,"], ["a,b", row])
+        with pytest.raises(ParseError, match=r"contacts\.csv:3: "):
+            load_dataset(files)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        files = write_dataset(tmp_path, ["a,0,0,", "", "b,zero,1,"], [])
+        with pytest.raises(ParseError, match=r"individuals\.csv:4: bad coordinate"):
+            load_dataset(files)
+
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        files = DatasetFiles.in_dir(tmp_path)
+        files.individuals_csv.write_bytes(b"\xef\xbb\xbfid,x,y,gang\r\na,0,1,g\r\nb,2,3,\r\n")
+        files.contacts_csv.write_bytes(b"\xef\xbb\xbfid_a,id_b\r\na,b\r\n")
+        individuals, social = load_dataset(files)
+        assert individuals == [Individual("a", 0.0, 1.0, "g"), Individual("b", 2.0, 3.0, None)]
+        assert social.pairs == frozenset({(0, 1)})
+
     def test_duplicate_contacts_deduplicated(self, tmp_path):
         files = write_dataset(
             tmp_path, ["a,0,0,", "b,1,1,"], ["a,b", "b,a", "a,b"]
@@ -129,3 +173,73 @@ class TestPlotCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "param,value,metric,mean,std"
         assert lines[1] == "alpha,0.4,purity,0.55,0.02"
+
+
+def _csv_text(header, rows, eol, bom):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=eol)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return ("\ufeff" if bom else "") + out.getvalue()
+
+
+def _ragged(row, change):
+    """The row itself (change 0), its last field dropped (-1), or an extra one (1)."""
+    return row[:-1] if change < 0 else row + ["extra"] * change
+
+
+def _mostly(common, rare, one_in):
+    """`common`, except for about one draw in `one_in`, which comes from `rare`."""
+    return st.tuples(st.integers(1, one_in), common, rare).map(lambda t: t[2] if t[0] == 1 else t[1])
+
+
+IDS = _mostly(st.sampled_from("abcdefgh"), st.sampled_from([" a ", "", " "]), 8)
+COORDS = _mostly(st.floats(min_value=-1e7, max_value=1e7).map(repr),
+                 st.sampled_from(["nan", "inf", "-inf", "1e400", " 2.5 ", "", "x"]), 8)
+HEADERS = _mostly(st.just(["id", "x", "y", "gang"]), st.sampled_from([
+    ["gang", "y", "x", "id"], ["id", "x", "y", "gang", "x"], ["id", "x", "y", "gang", "id"],
+    ["id", "x", "y", "gang", "note"], ["id", "x", "y"],
+]), 2)
+CONTACT_HEADERS = _mostly(st.just(["id_a", "id_b"]),
+                          st.sampled_from([["id_b", "id_a"], ["id_a", "id_b", "id_a"]]), 3)
+CHANGES = _mostly(st.just(0), st.sampled_from([-1, 1]), 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=HEADERS,
+       people=st.lists(st.tuples(IDS, COORDS, COORDS, st.text(max_size=3), CHANGES),
+                       max_size=6, unique_by=lambda p: p[0]),
+       contact_header=CONTACT_HEADERS,
+       eol=st.sampled_from(["\n", "\r\n"]), boms=st.tuples(st.booleans(), st.booleans()),
+       data=st.data())
+def test_load_dataset_fuzz_loads_or_raises_data_error(header, people, contact_header,
+                                                      eol, boms, data):
+    """Malformed files end in a `DataError`; a file that loads is well formed,
+    holds the values written, and round-trips."""
+    rows = []
+    for ident, x, y, gang, change in people:
+        fields = {"id": ident, "x": x, "y": y, "gang": gang, "note": "n"}
+        rows.append(_ragged([fields[c] for c in header], change))
+    ends = _mostly(st.sampled_from([p[0] for p in people] or ["a"]), IDS, 10)
+    contacts = data.draw(st.lists(st.tuples(ends, ends, CHANGES), max_size=5))
+    contact_rows = [_ragged([a, b] if contact_header[0] == "id_a" else [b, a], change)
+                    for a, b, change in contacts]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = DatasetFiles.in_dir(tmp)
+        files.individuals_csv.write_text(_csv_text(header, rows, eol, boms[0]),
+                                         encoding="utf-8", newline="")
+        files.contacts_csv.write_text(_csv_text(contact_header, contact_rows, eol, boms[1]),
+                                      encoding="utf-8", newline="")
+        try:
+            individuals, social = load_dataset(files)
+        except DataError:
+            return
+        assert len(set(header)) == len(header) and len(set(contact_header)) == 2
+        assert not any(p[-1] for p in people) and not any(c[-1] for c in contacts)
+        assert individuals == [Individual(i.strip(), float(x), float(y), g.strip() or None)
+                               for i, x, y, g, _ in people]
+        copy = DatasetFiles.in_dir(Path(tmp) / "copy")
+        copy.individuals_csv.parent.mkdir()
+        save_dataset(individuals, social, copy)
+        again, again_social = load_dataset(copy)
+        assert again == individuals and again_social.pairs == social.pairs

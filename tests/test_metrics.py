@@ -7,9 +7,9 @@ from geocluster.graph import SocialMatrix
 from geocluster.metrics import (
     DegenerateCounts,
     LengthMismatch,
+    contingency_table,
     diagnostics,
     pair_counts,
-    plurality_label,
     purity,
     z_rand,
 )
@@ -71,8 +71,11 @@ class TestPurity:
         assert purity(labels, refined) >= base
 
     def test_plurality_tie_breaks_lexicographically(self):
-        assert plurality_label(np.array(["b", "a", "b", "a"])) == "a"
-        assert plurality_label(np.array(["ab", "a", "ab", "a"])) == "a"
+        # A column argmax of the contingency table picks a community's
+        # plurality label; a tie goes to the lexicographically smallest.
+        for members in (["b", "a", "b", "a"], ["ab", "a", "ab", "a"]):
+            names, _, table = contingency_table(np.array(members), np.zeros(4, dtype=int))
+            assert names[table.argmax(axis=0)].tolist() == ["a"]
 
 
 class TestPairCounts:
