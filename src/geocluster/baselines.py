@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GeoSocialGraph, Individual, locations, normalize
+from .graph import GeoSocialGraph, Individual, locations, strengths
 from .spectral import Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
@@ -142,6 +142,8 @@ def gmm_cluster(individuals: Sequence[Individual], k_components: int, seed: int)
 def kmeans_columns(graph: GeoSocialGraph, k_clusters: int,
                    seeds: Sequence[int]) -> list[Partition]:
     """k-means where individual j's feature vector is column j of D^-1 W,
-    one partition per seed; the features are built once and freed on return."""
-    features = normalize(graph).T.copy()
+    one partition per seed; the features are built once and freed on return.
+    W is symmetric, so that column is row j of W D^-1, and the features are
+    one C-contiguous n x n array."""
+    features = graph.W / strengths(graph)[None, :]
     return [kmeans(features, k_clusters, seed) for seed in seeds]

@@ -158,14 +158,20 @@ def _run_config(args) -> dict:
             "seeds": [args.seed + r for r in range(args.runs)]}
 
 
-def _header(command: str, args, config: dict, social, labels) -> dict:
-    """Leading report keys: the command, its config (the dataset first, then
-    `config`) and the contact diagnostics."""
-    return {
-        "command": command,
+def _write(out: Path, args, config: dict, social, labels, body: dict, rows=None) -> None:
+    """Write a scoring command's report to `out`: the command, its config
+    (the dataset first, then `config`), the contact diagnostics, then `body`.
+    Beside it goes the plot CSV of `rows` when they are given; the report
+    path is printed last."""
+    save_results({
+        "command": args.command,
         "config": {"dataset": str(args.dataset), **config},
         "diagnostics": diagnostics(social, labels).as_dict(),
-    }
+        **body,
+    }, out)
+    if rows is not None:
+        save_plot_csv(rows, out.with_suffix(".csv"))
+    print(f"report: {out}")
 
 
 def community_summaries(individuals, labels, assignment) -> list[dict]:
@@ -262,12 +268,11 @@ def cmd_spectral(args) -> int:
     graph = build_weight_matrix(individuals, social, args.alpha, sigma)
     record = _score_spectral(individuals, labels, run_config["seeds"], {"alpha": args.alpha},
                              graph, args.k)
-    config = {"alpha": args.alpha, "sigma": sigma, **run_config}
-    save_results({**_header("spectral", args, config, social, labels), "results": [record]}, out)
     print(f"alpha={args.alpha}: purity {record['purity_mean']:.3f} "
           f"± {record['purity_std']:.3f}, z-Rand {record['zrand_mean']:.1f} "
           f"± {record['zrand_std']:.1f}")
-    print(f"report: {out}")
+    _write(out, args, {"alpha": args.alpha, "sigma": sigma, **run_config}, social, labels,
+           {"results": [record]})
     return 0
 
 
@@ -279,14 +284,12 @@ def cmd_sweep_alpha(args) -> int:
     records = [_score_spectral(individuals, labels, run_config["seeds"], {"alpha": alpha},
                                build_weight_matrix(individuals, social, alpha, sigma), args.k)
                for alpha in alphas]
-    config = {"alphas": alphas, "sigma": sigma, **run_config}
-    save_results({**_header("sweep-alpha", args, config, social, labels), "results": records}, out)
-    save_plot_csv([row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)],
-                  out.with_suffix(".csv"))
     for rec in records:
         print(f"alpha={rec['alpha']:4}: purity {rec['purity_mean']:.3f} "
               f"± {rec['purity_std']:.3f}, z-Rand {rec['zrand_mean']:.1f}")
-    print(f"report: {out}")
+    _write(out, args, {"alphas": alphas, "sigma": sigma, **run_config}, social, labels,
+           {"results": records},
+           [row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)])
     return 0
 
 
@@ -310,30 +313,24 @@ def cmd_multislice(args) -> int:
             "z_rand": z_rand(labels, part),
             "communities": community_summaries(individuals, labels, part.assignment),
         })
-    counts = [rec["n_communities"] for rec in slices]
-    zrands = [rec["z_rand"] for rec in slices]
+    plateaus = find_plateaus([rec["n_communities"] for rec in slices])
+    print(f"multislice Q={result.objective:.4f}, "
+          f"{result.n_communities} communities across {len(gammas)} slices")
+    print(f"plateaus: {plateaus}")
     config = {"alpha": args.alpha, "sigma": sigma, "gamma_grid": gammas,
               "omega": args.omega, "seeds": [args.seed]}
-    report = {
-        **_header("multislice", args, config, social, labels),
+    body = {
         "quality": result.objective,
         "n_communities_total": result.n_communities,
         "results": slices,
-        "plateaus": find_plateaus(counts),
-        "zrand_local_maxima": local_maxima(zrands),
+        "plateaus": plateaus,
+        "zrand_local_maxima": local_maxima([rec["z_rand"] for rec in slices]),
         "assignment": result.assignment,
     }
-    save_results(report, out)
-    save_plot_csv(
-        [{"param": "gamma", "value": rec["gamma"], "metric": metric,
-          "mean": rec[metric], "std": 0.0}
-         for rec in slices for metric in ("n_communities", "purity", "z_rand")],
-        out.with_suffix(".csv"),
-    )
-    print(f"multislice Q={result.objective:.4f}, "
-          f"{result.n_communities} communities across {len(gammas)} slices")
-    print(f"plateaus: {report['plateaus']}")
-    print(f"report: {out}")
+    _write(out, args, config, social, labels, body,
+           [{"param": "gamma", "value": rec["gamma"], "metric": metric,
+             "mean": rec[metric], "std": 0.0}
+            for rec in slices for metric in ("n_communities", "purity", "z_rand")])
     return 0
 
 
@@ -378,21 +375,16 @@ def cmd_gt_sweep(args) -> int:
         records.append(_score_spectral(individuals, labels, run_config["seeds"],
                                        {"q": q, "alpha": alpha, "p": p, "gt_seed": gt_seed},
                                        build_weight_matrix(individuals, gt, alpha, sigma), args.k))
-    config = {"alphas": alphas, "p_grid": p_grid, "q_list": q_list, "sigma": sigma, **run_config}
-    report = {
-        **_header("gt-sweep", args, config, social, labels),
-        "equivalence_p": gt_equivalence_point(labels, social),
-        "results": records,
-    }
-    save_results(report, out)
-    rows = [row for rec in records
-            for row in _score_rows(f"p[q={rec['q']},alpha={rec['alpha']}]", rec["p"], rec)]
-    save_plot_csv(rows, out.with_suffix(".csv"))
-    print(f"equivalence point p* = {report['equivalence_p']:.4f}")
+    equivalence_p = gt_equivalence_point(labels, social)
+    print(f"equivalence point p* = {equivalence_p:.4f}")
     for rec in records:
         print(f"q={rec['q']:4} alpha={rec['alpha']:4} p={rec['p']:4}: "
               f"purity {rec['purity_mean']:.3f} ± {rec['purity_std']:.3f}")
-    print(f"report: {out}")
+    config = {"alphas": alphas, "p_grid": p_grid, "q_list": q_list, "sigma": sigma, **run_config}
+    _write(out, args, config, social, labels,
+           {"equivalence_p": equivalence_p, "results": records},
+           [row for rec in records
+            for row in _score_rows(f"p[q={rec['q']},alpha={rec['alpha']}]", rec["p"], rec)])
     return 0
 
 
@@ -411,24 +403,17 @@ def cmd_baselines(args) -> int:
         spectral.append(_score_spectral(individuals, labels, seeds, {"alpha": alpha},
                                         graph, args.k))
         del graph  # free this n x n W before the next alpha builds its own
-    config = {"alphas": alphas, "sigma": sigma, **run_config}
-    report = {
-        **_header("baselines", args, config, social, labels),
-        "gmm": gmm_record,
-        "kmeans_columns": columns,
-        "spectral": spectral,
-    }
-    save_results(report, out)
-    rows = [row for name in ("kmeans_columns", "spectral") for rec in report[name]
-            for row in _score_rows("alpha", rec["alpha"], rec, f"/{name}")]
-    save_plot_csv(rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"), out.with_suffix(".csv"))
     print(f"gmm: purity {gmm_record['purity_mean']:.3f}, "
           f"z-Rand {gmm_record['zrand_mean']:.1f}")
     for rec, spec in zip(columns, spectral):
         print(f"alpha={rec['alpha']:4}: k-means-columns purity "
               f"{rec['purity_mean']:.3f} (z {rec['zrand_mean']:.1f}) vs spectral "
               f"{spec['purity_mean']:.3f} (z {spec['zrand_mean']:.1f})")
-    print(f"report: {out}")
+    body = {"gmm": gmm_record, "kmeans_columns": columns, "spectral": spectral}
+    rows = [row for name in ("kmeans_columns", "spectral") for rec in body[name]
+            for row in _score_rows("alpha", rec["alpha"], rec, f"/{name}")]
+    _write(out, args, {"alphas": alphas, "sigma": sigma, **run_config}, social, labels, body,
+           rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"))
     return 0
 
 

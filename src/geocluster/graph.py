@@ -196,10 +196,15 @@ def build_weight_matrix(
     return GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=alpha, sigma=sigma)
 
 
-def normalize(graph: GeoSocialGraph) -> np.ndarray:
-    """Row-stochastic normalized adjacency D^-1 W."""
+def strengths(graph: GeoSocialGraph) -> np.ndarray:
+    """The strength vector d, checked to hold no zero before it divides."""
     zero = np.flatnonzero(graph.d == 0.0)
     if zero.size:
         # Unreachable under the unit-diagonal convention; kept as a guard.
         raise ZeroStrength(f"individual {int(zero[0])} has zero strength")
-    return graph.W / graph.d[:, None]
+    return graph.d
+
+
+def normalize(graph: GeoSocialGraph) -> np.ndarray:
+    """Row-stochastic normalized adjacency D^-1 W."""
+    return graph.W / strengths(graph)[:, None]

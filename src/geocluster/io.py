@@ -10,7 +10,9 @@ newlines, so a repeated run with the same seed is byte-identical.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,23 +86,38 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
 
 def _read_rows(path, required) -> list[tuple[int, list[str]]]:
     """(line number, required fields) for each nonblank row of a UTF-8 CSV,
-    BOM or not; a header that repeats a name or a row whose field count
+    BOM or not; a byte that is not UTF-8, a field over the `csv` module's
+    size limit, a header that repeats a name or a row whose field count
     differs from the header's is a `ParseError`."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(path, 1, f"missing required columns {missing}")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise ParseError(path, 1, f"repeated columns {repeated}")
-        cols = [header.index(c) for c in required]
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ParseError(path, reader.line_num, f"has {len(row)} fields, not {len(header)}")
-            rows.append((reader.line_num, [row[i] for i in cols]))
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; its line is the last line of
+        # that prefix plus one more character, split as the reader splits.
+        prefix = io.StringIO(data[:exc.start].decode("utf-8") + "?", newline="")
+        raise ParseError(path, len(prefix.readlines()),
+                         f"not UTF-8 ({exc.reason} {data[exc.start]:#04x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        lines = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, str(exc)) from None
+    header = lines[0][1] if lines else []
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ParseError(path, 1, f"missing required columns {missing}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ParseError(path, 1, f"repeated columns {repeated}")
+    cols = [header.index(c) for c in required]
+    rows = []
+    for line_no, row in lines[1:]:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(path, line_no, f"has {len(row)} fields, not {len(header)}")
+        rows.append((line_no, [row[i] for i in cols]))
     return rows
 
 

@@ -103,6 +103,18 @@ class TestSpectralCommand:
         assert code == 3
         assert "--runs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row", [b"z,1,1," + b"g" * 140_000, b"z,1,1,\xff"],
+                             ids=["over_long_field", "non_utf8_byte"])
+    def test_unreadable_dataset_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
+                                                      bad_row):
+        good, bad = DatasetFiles.in_dir(dataset_dir), DatasetFiles.in_dir(tmp_path)
+        bad.contacts_csv.write_bytes(good.contacts_csv.read_bytes())
+        bad.individuals_csv.write_bytes(good.individuals_csv.read_bytes() + bad_row + b"\n")
+        code = main(["spectral", "--dataset", str(tmp_path), "--k", "6", "--runs", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "individuals.csv:122: " in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"
         args = [
@@ -255,6 +267,10 @@ class TestReportSchema:
     RUN_FLAGS = ("--k", "6", "--runs", "2", "--seed", "0")
     HEADER = ["command", "config", "diagnostics"]
     RUN_CONFIG = ["sigma", "k", "runs", "seeds"]
+    # Plot CSV rows beside each command's report under the flags below:
+    # two metrics per scored record, three per multislice slice.
+    CSV_ROWS = {"spectral": None, "sweep-alpha": 4, "gt-sweep": 2, "baselines": 6,
+                "multislice": 6}
 
     @pytest.mark.parametrize("argv, report_keys, config_keys", [
         (("spectral", "--alpha", "0.4", *RUN_FLAGS),
@@ -281,6 +297,13 @@ class TestReportSchema:
         assert list(report["config"]) == config_keys
         assert report["command"] == argv[0]
         assert report["config"]["dataset"] == str(dataset_dir)
+        csv_rows = self.CSV_ROWS[argv[0]]
+        if csv_rows is None:
+            assert not out.with_suffix(".csv").exists()
+        else:
+            lines = out.with_suffix(".csv").read_text().splitlines()
+            assert lines[0] == "param,value,metric,mean,std"
+            assert len(lines) == 1 + csv_rows
 
     def test_spectral_record_keys(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"

@@ -98,6 +98,18 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"contacts\.csv:3: "):
             load_dataset(files)
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("row, message", [
+        (b"b,1,1," + b"g" * 140_000, "field larger than field limit"),
+        (b"b,1,1,\xff", r"not UTF-8 \(invalid start byte 0xff\)"),
+    ], ids=["over_long_field", "non_utf8_byte"])
+    def test_unreadable_row(self, tmp_path, row, message, eol):
+        files = write_dataset(tmp_path, [], [])
+        lines = [b"\xef\xbb\xbfid,x,y,gang", b"a,0,0,", b"", row, b"c,2,2,"]
+        files.individuals_csv.write_bytes(eol.join(lines) + eol)
+        with pytest.raises(ParseError, match=rf"individuals\.csv:4: {message}"):
+            load_dataset(files)
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         files = write_dataset(tmp_path, ["a,0,0,", "", "b,zero,1,"], [])
         with pytest.raises(ParseError, match=r"individuals\.csv:4: bad coordinate"):

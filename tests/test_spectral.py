@@ -20,6 +20,7 @@ from geocluster.graph import (
     normalize,
 )
 from geocluster import spectral
+from geocluster.baselines import kmeans_columns
 from geocluster.spectral import (
     KMEANS_MAX_ITER,
     Partition,
@@ -101,6 +102,8 @@ class TestEmbed:
         g = GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=0.5, sigma=1.0)
         with pytest.raises(ZeroStrength):
             embed(g, 2)
+        with pytest.raises(ZeroStrength):
+            kmeans_columns(g, 2, seeds=[0])
 
     def test_bad_k(self, small_graph):
         with pytest.raises(ValueError):
