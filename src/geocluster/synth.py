@@ -185,6 +185,26 @@ def _grid_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return cells[order] + jitter
 
 
+def _pair_weights(lengths: np.ndarray, cols: np.ndarray, act: np.ndarray,
+                  x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
+    """act_i * act_j * exp(-(dx^2 + dy^2) / (2 length^2)) of each pair of a
+    pool whose row i holds lengths[i] consecutive pairs, built in place on a
+    few pool-sized arrays."""
+    w = np.repeat(act, lengths)
+    w *= act[cols]
+    d2 = np.repeat(x, lengths)
+    d2 -= x[cols]
+    d2 *= d2
+    dy = np.repeat(y, lengths)
+    dy -= y[cols]
+    dy *= dy
+    d2 += dy
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * length * length
+    w *= np.exp(d2, out=d2)
+    return w
+
+
 def _sample_contacts(
     group_of: np.ndarray,
     xy: np.ndarray,
@@ -205,33 +225,46 @@ def _sample_contacts(
     (scale intra_length within a group, inter_length across groups), since
     a recorded stop puts both parties at the same place. Stop activity is
     boosted in contested areas where territories overlap.
+
+    `group_of` must be sorted (members stored group by group), so that
+    each active member's same-group partners after it form one contiguous
+    run and its other-group partners the rest of the active list. Each pool
+    lists its pairs (r, c), r < c, in row-major order over the active
+    members, and a draw costs O(a^2) time for a active members and a few
+    pool-sized arrays.
     """
     n = group_of.size
     activity = rng.lognormal(mean=0.0, sigma=ACTIVITY_SIGMA, size=n)
     activity *= 1.0 + HOTSPOT_STRENGTH * contested
     quiet = rng.random(n) < quiet_fraction
-    activity[quiet] = 0.0
     active = np.flatnonzero(~quiet)
-    if active.size < 2:
+    a = active.size
+    if a < 2:
         return None
-    iu, ju = np.triu_indices(active.size, k=1)
-    pi, pj = active[iu], active[ju]
-    same = group_of[pi] == group_of[pj]
-    pair_w = activity[pi] * activity[pj]
-    dist2 = ((xy[pi] - xy[pj]) ** 2).sum(axis=1)
+    # Active member r pairs within its group with [r + 1, end[r]) and
+    # across groups with [end[r], a).
+    group = group_of[active]
+    end = np.searchsorted(group, group, side="right")
+    first = np.arange(1, a + 1)
+    act, x, y = activity[active], xy[active, 0], xy[active, 1]
 
     chosen: list[np.ndarray] = []
-    for mask, count, length in ((same, n_edges_intra, intra_length),
-                                (~same, n_edges_inter, inter_length)):
-        pool = np.flatnonzero(mask)
-        if pool.size < count:
+    for starts, lengths, count, length in (
+            (first, end - first, n_edges_intra, intra_length),
+            (end, a - end, n_edges_inter, inter_length)):
+        if lengths.sum() < count:
             return None
         if count:
-            w = pair_w[pool] * np.exp(-dist2[pool] / (2.0 * length * length))
-            picks = rng.choice(pool, size=count, replace=False, p=w / w.sum())
-            chosen.append(picks)
-    idx = np.concatenate(chosen) if chosen else np.zeros(0, dtype=int)
-    return np.column_stack([pi[idx], pj[idx]])
+            # Row r's pairs are entries [stop[r] - lengths[r], stop[r]) of
+            # the pool, with columns from starts[r] up.
+            stop = np.cumsum(lengths)
+            cols = np.arange(stop[-1]) - np.repeat(stop - lengths - starts, lengths)
+            w = _pair_weights(lengths, cols, act, x, y, length)
+            w /= w.sum()
+            picks = rng.choice(cols.size, size=count, replace=False, p=w)
+            rows = np.searchsorted(stop, picks, side="right")
+            chosen.append(np.column_stack([active[rows], active[cols[picks]]]))
+    return np.concatenate(chosen) if chosen else np.zeros((0, 2), dtype=int)
 
 
 def _contested_score(xy: np.ndarray, group_of: np.ndarray, centers: np.ndarray,
@@ -303,20 +336,30 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
             intra_length, inter_length, rng,
         )
         if pairs is None:
+            last = (f"at quiet fraction {quiet:.4f}, found too few active pairs "
+                    f"to host {n_intra} intra-group and {n_inter} inter-group edges")
             quiet = max(0.0, quiet - 0.05)
             continue
         social = SocialMatrix.from_pairs(n, pairs)
         report = diagnostics(social, labels)
+        intra = report.intra_fraction or 0.0
         ok = (
             abs(report.degree_mean - TARGET_MEAN_DEGREE) <= MEAN_DEGREE_TOL
-            and abs((report.intra_fraction or 0.0) - TARGET_INTRA_FRACTION)
-            <= INTRA_FRACTION_TOL
+            and abs(intra - TARGET_INTRA_FRACTION) <= INTRA_FRACTION_TOL
             and abs(report.isolate_fraction - TARGET_ISOLATE_FRACTION)
             <= ISOLATE_FRACTION_TOL
         )
         if ok:
             return individuals, social
+        last = (
+            f"at quiet fraction {quiet:.4f}, gave isolate fraction "
+            f"{report.isolate_fraction:.4f} (target {TARGET_ISOLATE_FRACTION} ± "
+            f"{ISOLATE_FRACTION_TOL}), intra fraction {intra:.4f} (target "
+            f"{TARGET_INTRA_FRACTION} ± {INTRA_FRACTION_TOL}) and mean degree "
+            f"{report.degree_mean:.4f} (target {TARGET_MEAN_DEGREE} ± {MEAN_DEGREE_TOL})"
+        )
         quiet = min(0.95, max(0.0, quiet - (report.isolate_fraction - TARGET_ISOLATE_FRACTION)))
     raise CalibrationFailure(
-        f"diagnostics targets not met within {CALIBRATION_MAX_ITER} tuning iterations"
+        f"diagnostics targets not met within {CALIBRATION_MAX_ITER} draws; "
+        f"the last draw, {last}"
     )

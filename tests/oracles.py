@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from geocluster.baselines import COV_REG, EM_TOL, GmmFit
 from geocluster.spectral import kmeans_pp_init
+from geocluster.synth import ACTIVITY_SIGMA, HOTSPOT_STRENGTH
 
 
 def naive_weight_matrix(points, contact_pairs, alpha, sigma):
@@ -378,6 +379,40 @@ def explicit_multislice_louvain(adjacencies, gammas, omega, seed):
     mapping = _first_occurrence(mapping)
     quality = float(_explicit_aggregate(b0, mapping).diagonal().sum()) / two_mu
     return mapping.reshape(n_slices, n).T.copy(), quality
+
+
+def pairlist_sample_contacts(group_of, xy, n_edges_intra, n_edges_inter,
+                              quiet_fraction, contested, intra_length,
+                              inter_length, rng):
+    """The contact draw over an explicit list of every active pair
+    (`np.triu_indices`), split into same-group and cross-group pools by a
+    mask; the same draws and RNG stream as `synth._sample_contacts`."""
+    n = group_of.size
+    activity = rng.lognormal(mean=0.0, sigma=ACTIVITY_SIGMA, size=n)
+    activity *= 1.0 + HOTSPOT_STRENGTH * contested
+    quiet = rng.random(n) < quiet_fraction
+    activity[quiet] = 0.0
+    active = np.flatnonzero(~quiet)
+    if active.size < 2:
+        return None
+    iu, ju = np.triu_indices(active.size, k=1)
+    pi, pj = active[iu], active[ju]
+    same = group_of[pi] == group_of[pj]
+    pair_w = activity[pi] * activity[pj]
+    dist2 = ((xy[pi] - xy[pj]) ** 2).sum(axis=1)
+
+    chosen = []
+    for mask, count, length in ((same, n_edges_intra, intra_length),
+                                (~same, n_edges_inter, inter_length)):
+        pool = np.flatnonzero(mask)
+        if pool.size < count:
+            return None
+        if count:
+            w = pair_w[pool] * np.exp(-dist2[pool] / (2.0 * length * length))
+            picks = rng.choice(pool, size=count, replace=False, p=w / w.sum())
+            chosen.append(picks)
+    idx = np.concatenate(chosen) if chosen else np.zeros(0, dtype=int)
+    return np.column_stack([pi[idx], pj[idx]])
 
 
 def loop_fit_gmm(points, k, seed, max_iter=500):

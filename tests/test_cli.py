@@ -359,10 +359,17 @@ class TestNumericalFailureExit:
             "generate", "--n-members", "20", "--n-groups", "2",
             "--seed", "0", "--out", str(tmp_path / "ds"),
         ])
-        # 20 members cannot host 13 contacts at 90% isolates: every tuning
-        # iteration fails and the command reports a numerical failure.
+        # 20 members get 13 contacts, 12 of them intra-group: every draw's
+        # intra fraction is 12/13 = 0.9231, outside 0.887 +- 0.02, so all 50
+        # draws fail and the message gives the last draw's numbers.
         assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "not met within 50 draws" in err
+        assert "at quiet fraction 0.2000" in err
+        assert "isolate fraction 0.4000 (target 0.42" in err
+        assert "intra fraction 0.9231 (target 0.887" in err
+        assert "mean degree 1.3000 (target 1.2754" in err
 
 
 class TestHelpers:

@@ -1,14 +1,19 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geocluster import synth
 from geocluster.errors import DataError
 from geocluster.io import DatasetFiles, save_dataset
 from geocluster.metrics import diagnostics
 from geocluster.synth import (
+    CalibrationFailure,
     GtParams,
     InsufficientZeros,
     SynthConfig,
@@ -18,7 +23,10 @@ from geocluster.synth import (
     intra_contact_count,
     total_intra_pairs,
     _round_half_up,
+    _sample_contacts,
 )
+
+from oracles import pairlist_sample_contacts
 
 
 def labels_of_sizes(sizes):
@@ -186,6 +194,11 @@ class TestGenerateDataset:
             "f20cf7c08e13aa1acf5c906798a3e109e2e8bbab5ddca11d7f5d07298296f442",
             "1077955c50025f12691dff86e3b9f9b9d4b3f86710f6561e9175b73e06baa157",
         )),
+        # the dataset 0 of the benchmark's `scale` workload
+        (dict(n_members=3000, n_groups=124, seed=18), (
+            "e4b18c234d1f0c10335d3da5e4bcfce83ba16e1d0a719f1bed541bf71c5d5602",
+            "de417c4b24d6f1a7096b6101687e1636eede7fcd6f465f7514847c8d2e8880d2",
+        )),
     ])
     def test_dataset_bytes_are_pinned(self, kwargs, digests, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
@@ -193,3 +206,71 @@ class TestGenerateDataset:
         got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (files.individuals_csv, files.contacts_csv))
         assert got == digests
+
+    def test_default_dataset_peak_memory(self):
+        # A draw holds a few arrays the size of its larger (cross-group) pair
+        # pool: the seed-18 dataset peaks near 12 MB under tracemalloc, and
+        # the explicit pair list with its (a^2, 2) coordinate differences
+        # peaked near 25 MB.
+        tracemalloc.start()
+        try:
+            generate_dataset(SynthConfig(seed=18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_calibration_failure_names_an_unhostable_pool(self, monkeypatch):
+        monkeypatch.setattr(synth, "_sample_contacts", lambda *args: None)
+        with pytest.raises(CalibrationFailure) as info:
+            generate_dataset(SynthConfig(n_members=40, n_groups=2, seed=0))
+        message = str(info.value)
+        assert "not met within 50 draws" in message
+        assert "at quiet fraction 0.0000, found too few active pairs" in message
+        assert "to host 23 intra-group and 3 inter-group edges" in message
+
+
+@st.composite
+def contact_draws(draw):
+    """Inputs of one contact draw: members sorted by group, edge counts from
+    0 to beyond the pair count, and the seed of the draw's generator."""
+    n = draw(st.integers(2, 60))
+    n_groups = draw(st.integers(1, 6))
+    group_of = np.sort(np.array(draw(st.lists(
+        st.integers(0, n_groups - 1), min_size=n, max_size=n))))
+    coords = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy = coords.uniform(0.0, 3000.0, size=(n, 2))
+    contested = coords.random(n)
+    pairs = n * (n - 1) // 2
+    counts = st.one_of(st.just(0), st.integers(0, n), st.integers(0, pairs + 2))
+    return (
+        group_of, xy, draw(counts), draw(counts),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 0.95))), contested,
+        draw(st.floats(50.0, 600.0)), draw(st.floats(50.0, 600.0)),
+    ), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampleContacts:
+    @staticmethod
+    def _outcome(sampler, args, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            result = sampler(*args, rng)
+        except (ValueError, RuntimeWarning) as exc:
+            # every weight underflowed (0 / 0), or fewer are non-zero than
+            # there are picks to make
+            result = repr(exc)
+        return result, rng.bit_generator.state
+
+    @given(contact_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_list_oracle(self, case):
+        args, seed = case
+        got, got_state = self._outcome(_sample_contacts, args, seed)
+        want, want_state = self._outcome(pairlist_sample_contacts, args, seed)
+        assert got_state == want_state
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
