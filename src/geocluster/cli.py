@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import product
 from pathlib import Path
@@ -29,6 +30,7 @@ from .spectral import embed, kmeans
 from .synth import GtParams, SynthConfig, generate_dataset, gt_equivalence_point, gt_matrix
 
 GT_SEED_STRIDE = 7919
+MAX_GRID_POINTS = 10_000
 
 
 def main(argv=None) -> int:
@@ -121,9 +123,14 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise DataError(f"could not parse grid {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DataError(f"grid {text!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise DataError(f"bad grid bounds in {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if span >= MAX_GRID_POINTS:
+        raise DataError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(round(span)) + 1
     grid = [start + i * step for i in range(count)]
     return [g for g in grid if g <= stop + 1e-9]
 

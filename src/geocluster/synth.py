@@ -7,13 +7,15 @@ jittered grid, scatters members around them as tail-clipped Gaussians
 (elongation and extent vary per territory, member counts track territory
 area), and samples sparse contacts through a two-level model: per-member
 stop activity (heavy-tailed, boosted in contested ground) and then an
-intra/inter group mix with geographic locality. An internal tuning loop
-retunes the quiet-member share until the realized diagnostics hit the
-Hollenbeck targets (TARGET_MEAN_DEGREE, TARGET_INTRA_FRACTION,
-TARGET_ISOLATE_FRACTION): mean degree within 0.1, intra-group contact
-fraction within 0.02, isolate fraction within 0.05. SynthConfig sets only
-the member and group counts, the spatial spread and the seed; every other
-model parameter is a module constant.
+intra/inter group mix with geographic locality. The Hollenbeck targets
+(TARGET_MEAN_DEGREE, TARGET_INTRA_FRACTION, TARGET_ISOLATE_FRACTION) must
+hold within 0.1, 0.02 and 0.05. The member count fixes the contact counts
+and so the first two; they, and whether the group sizes leave enough pairs
+for those contacts, are checked once before the first draw. An internal
+tuning loop then retunes the quiet-member share until a draw's isolate
+fraction is on target. SynthConfig sets only the member and group counts,
+the spatial spread and the seed; every other model parameter is a module
+constant.
 
 GT(p, q) starts from the full intra-group pair matrix, keeps a fraction p
 of the upper-triangular intra pairs uniformly at random, then swaps a
@@ -92,8 +94,7 @@ def gt_matrix(labels, params: GtParams) -> SocialMatrix:
     intra_pos = np.flatnonzero(intra_mask)
 
     n_keep = _round_half_up(params.p * intra_pos.size)
-    kept = rng.choice(intra_pos, size=n_keep, replace=False) if n_keep else \
-        np.zeros(0, dtype=int)
+    kept = rng.choice(intra_pos, size=n_keep, replace=False)
 
     n_flip = _round_half_up(params.q * kept.size)
     if n_flip:
@@ -283,6 +284,22 @@ def _contested_score(xy: np.ndarray, group_of: np.ndarray, centers: np.ndarray,
 def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatrix]:
     """Generate a labeled point set and contact matrix hitting the Hollenbeck
     diagnostics targets; deterministic per seed."""
+    # Every draw has exactly n_edges distinct contacts, n_intra of them within
+    # groups, so n alone fixes the mean degree and the intra fraction.
+    n = config.n_members
+    n_edges = _round_half_up(TARGET_MEAN_DEGREE * n / 2.0)
+    n_intra = _round_half_up(TARGET_INTRA_FRACTION * n_edges)
+    n_inter = n_edges - n_intra
+    mean_degree, intra = 2.0 * n_edges / n, n_intra / n_edges
+    if (abs(mean_degree - TARGET_MEAN_DEGREE) > MEAN_DEGREE_TOL
+            or abs(intra - TARGET_INTRA_FRACTION) > INTRA_FRACTION_TOL):
+        raise CalibrationFailure(
+            f"{n} members get {n_edges} contacts, {n_intra} of them intra-group, so "
+            f"every draw would have mean degree {mean_degree:.4f} (target "
+            f"{TARGET_MEAN_DEGREE} ± {MEAN_DEGREE_TOL}) and intra fraction "
+            f"{intra:.4f} (target {TARGET_INTRA_FRACTION} ± {INTRA_FRACTION_TOL})"
+        )
+
     rng = np.random.default_rng(config.seed)
     # Gaussian territories whose extent varies across groups; elongation is
     # area-preserving, so member density stays tied to the nominal spread.
@@ -295,6 +312,15 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     sizes = _group_sizes(config, spread_factor, rng)
     centers = _grid_centers(config, rng)
     group_of = np.repeat(np.arange(config.n_groups), sizes)
+    # With every member active both pair pools are at their largest.
+    intra_pool = total_intra_pairs(group_of)
+    inter_pool = n * (n - 1) // 2 - intra_pool
+    if intra_pool < n_intra or inter_pool < n_inter:
+        raise CalibrationFailure(
+            f"even with every member active, the {intra_pool} intra-group and "
+            f"{inter_pool} inter-group pairs cannot host {n_intra} intra-group "
+            f"and {n_inter} inter-group edges"
+        )
     offsets = rng.normal(size=(config.n_members, 2))
     # Territories have finite extent: resample the far Gaussian tail.
     radius = np.hypot(offsets[:, 0], offsets[:, 1])
@@ -319,12 +345,6 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
         )
         for i in range(config.n_members)
     ]
-    labels = np.array([p.gang for p in individuals])
-
-    n = config.n_members
-    n_edges = _round_half_up(TARGET_MEAN_DEGREE * n / 2.0)
-    n_intra = _round_half_up(TARGET_INTRA_FRACTION * n_edges)
-    n_inter = n_edges - n_intra
 
     quiet = TARGET_ISOLATE_FRACTION
     intra_length = INTRA_CONTACT_SCALE * config.spatial_spread
@@ -341,25 +361,13 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
             quiet = max(0.0, quiet - 0.05)
             continue
         social = SocialMatrix.from_pairs(n, pairs)
-        report = diagnostics(social, labels)
-        intra = report.intra_fraction or 0.0
-        ok = (
-            abs(report.degree_mean - TARGET_MEAN_DEGREE) <= MEAN_DEGREE_TOL
-            and abs(intra - TARGET_INTRA_FRACTION) <= INTRA_FRACTION_TOL
-            and abs(report.isolate_fraction - TARGET_ISOLATE_FRACTION)
-            <= ISOLATE_FRACTION_TOL
-        )
-        if ok:
+        isolates = diagnostics(social, group_of).isolate_fraction
+        if abs(isolates - TARGET_ISOLATE_FRACTION) <= ISOLATE_FRACTION_TOL:
             return individuals, social
-        last = (
-            f"at quiet fraction {quiet:.4f}, gave isolate fraction "
-            f"{report.isolate_fraction:.4f} (target {TARGET_ISOLATE_FRACTION} ± "
-            f"{ISOLATE_FRACTION_TOL}), intra fraction {intra:.4f} (target "
-            f"{TARGET_INTRA_FRACTION} ± {INTRA_FRACTION_TOL}) and mean degree "
-            f"{report.degree_mean:.4f} (target {TARGET_MEAN_DEGREE} ± {MEAN_DEGREE_TOL})"
-        )
-        quiet = min(0.95, max(0.0, quiet - (report.isolate_fraction - TARGET_ISOLATE_FRACTION)))
+        last = (f"at quiet fraction {quiet:.4f}, gave isolate fraction {isolates:.4f} "
+                f"(target {TARGET_ISOLATE_FRACTION} ± {ISOLATE_FRACTION_TOL})")
+        quiet = min(0.95, max(0.0, quiet - (isolates - TARGET_ISOLATE_FRACTION)))
     raise CalibrationFailure(
-        f"diagnostics targets not met within {CALIBRATION_MAX_ITER} draws; "
+        f"isolate fraction target not met within {CALIBRATION_MAX_ITER} draws; "
         f"the last draw, {last}"
     )

@@ -188,6 +188,28 @@ class TestMultislice:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,reason", [
+        (("multislice", "--alpha", "0.4", "--gamma-grid", "0:inf:1", "--omega", "1"),
+         "finite"),
+        (("gt-sweep", "--alphas", "0.8", "--p-grid", "0:inf:0.5", "--q-list", "0"),
+         "finite"),
+        (("multislice", "--alpha", "0.4", "--gamma-grid", "nan:1:0.5", "--omega", "1"),
+         "finite"),
+        (("multislice", "--alpha", "0.4", "--gamma-grid", "0:1:inf", "--omega", "1"),
+         "finite"),
+        (("multislice", "--alpha", "0.4", "--gamma-grid", "0.5:3.0:1e-300", "--omega", "1"),
+         "more than 10000 points"),
+    ])
+    def test_bad_range_grid_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
+                                                  flags, reason):
+        out = tmp_path / "report.json"
+        code = main([*flags, "--dataset", str(dataset_dir), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"grid {flags[4]!r}" in err and reason in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_grid_parsing_range_syntax(self, dataset_dir, tmp_path):
         out = tmp_path / "ms.json"
         assert main([
@@ -354,22 +376,24 @@ class TestReportSchema:
 
 
 class TestNumericalFailureExit:
-    def test_impossible_calibration_exits_4(self, tmp_path, capsys):
+    def test_impossible_calibration_exits_4(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            pytest.fail("a contact draw was made")
+
+        monkeypatch.setattr("geocluster.synth._sample_contacts", no_draw)
         code = main([
             "generate", "--n-members", "20", "--n-groups", "2",
             "--seed", "0", "--out", str(tmp_path / "ds"),
         ])
         # 20 members get 13 contacts, 12 of them intra-group: every draw's
-        # intra fraction is 12/13 = 0.9231, outside 0.887 +- 0.02, so all 50
-        # draws fail and the message gives the last draw's numbers.
+        # intra fraction would be 12/13 = 0.9231, outside 0.887 +- 0.02, so
+        # the generator fails before its first draw.
         assert code == 4
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "not met within 50 draws" in err
-        assert "at quiet fraction 0.2000" in err
-        assert "isolate fraction 0.4000 (target 0.42" in err
-        assert "intra fraction 0.9231 (target 0.887" in err
+        assert "every draw would have" in err
         assert "mean degree 1.3000 (target 1.2754" in err
+        assert "intra fraction 0.9231 (target 0.887" in err
 
 
 class TestHelpers:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ from geocluster.synth import (
 )
 
 from oracles import pairlist_sample_contacts
+
+
+# The first datasets of the byte-check manifest that
+# scripts/generator_digests.py keeps, as extra pinned inputs: a generator
+# that drifts from the manifest fails here.
+MANIFEST = Path(__file__).resolve().parents[1] / "scripts" / "generator_digests.json"
+MANIFEST_PINS = [
+    (dict(n_members=e["n_members"], n_groups=e["n_groups"], seed=e["seed"]),
+     (e["individuals.csv"], e["contacts.csv"]))
+    for e in json.loads(MANIFEST.read_text())["datasets"] if e["n_members"] == 748
+][:8]
 
 
 def labels_of_sizes(sizes):
@@ -199,6 +212,7 @@ class TestGenerateDataset:
             "e4b18c234d1f0c10335d3da5e4bcfce83ba16e1d0a719f1bed541bf71c5d5602",
             "de417c4b24d6f1a7096b6101687e1636eede7fcd6f465f7514847c8d2e8880d2",
         )),
+        *MANIFEST_PINS,
     ])
     def test_dataset_bytes_are_pinned(self, kwargs, digests, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
@@ -219,6 +233,53 @@ class TestGenerateDataset:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_member_counts_off_target_fail_before_any_draw(self, monkeypatch):
+        # n fixes the contact counts, so for these n every draw would miss
+        # the mean degree or the intra fraction; the generator must say so
+        # before it draws anything. The others reach the group sizes.
+        class PastTheCheck(Exception):
+            pass
+
+        def no_draw(*args):
+            pytest.fail("a contact draw was made")
+
+        def group_sizes(*args):
+            raise PastTheCheck
+
+        monkeypatch.setattr(synth, "_sample_contacts", no_draw)
+        monkeypatch.setattr(synth, "_group_sizes", group_sizes)
+        failing = []
+        for n in range(4, 6001):
+            try:
+                generate_dataset(SynthConfig(n_members=n, n_groups=1))
+            except CalibrationFailure as exc:
+                assert "every draw would have mean degree" in str(exc)
+                failing.append(n)
+            except PastTheCheck:
+                pass
+        assert failing == [*range(4, 12), *range(17, 25), 34, 35]
+
+    def test_pools_too_small_for_the_edges_fail_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            pytest.fail("a contact draw was made")
+
+        monkeypatch.setattr(synth, "_sample_contacts", no_draw)
+        with pytest.raises(CalibrationFailure) as info:
+            generate_dataset(SynthConfig(n_groups=1))
+        assert str(info.value) == (
+            "even with every member active, the 279378 intra-group and 0 "
+            "inter-group pairs cannot host 423 intra-group and 54 inter-group edges"
+        )
+
+    def test_isolate_miss_names_only_the_isolate_fraction(self, monkeypatch):
+        monkeypatch.setattr(synth, "ISOLATE_FRACTION_TOL", -1.0)
+        with pytest.raises(CalibrationFailure) as info:
+            generate_dataset(SynthConfig(seed=18))
+        message = str(info.value)
+        assert "not met within 50 draws" in message
+        assert "gave isolate fraction" in message and "(target 0.42 ± -1.0)" in message
+        assert "intra fraction" not in message and "mean degree" not in message
 
     def test_calibration_failure_names_an_unhostable_pool(self, monkeypatch):
         monkeypatch.setattr(synth, "_sample_contacts", lambda *args: None)
