@@ -159,8 +159,8 @@ def _out_path(raw: str) -> Path:
 
 def _run_config(args) -> dict:
     """The config tail of a multi-run command: k, runs and each run's seed."""
-    if args.runs < 1:
-        raise DataError(f"--runs must be at least 1, got {args.runs}")
+    if not 1 <= args.runs <= MAX_GRID_POINTS:
+        raise DataError(f"--runs must be at least 1 and at most {MAX_GRID_POINTS}, got {args.runs}")
     return {"k": args.k, "runs": args.runs,
             "seeds": [args.seed + r for r in range(args.runs)]}
 
@@ -304,10 +304,9 @@ def cmd_multislice(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     check_slice_params(gammas, args.omega)  # before the dataset load and W build
     out, individuals, social, labels, sigma = _load(args)
-    graph = build_weight_matrix(individuals, social, args.alpha, sigma)
-    transition = normalize(graph)
-    sym = 0.5 * (transition + transition.T)
-    stack = SliceStack([(sym, g) for g in gammas], omega=args.omega)
+    transition = normalize(build_weight_matrix(individuals, social, args.alpha, sigma))
+    stack = SliceStack([(transition, g) for g in gammas], omega=args.omega)
+    del transition  # the stack's symmetrized copy is the one Louvain reads
     result = multislice_louvain(stack, args.seed)
 
     slices = []

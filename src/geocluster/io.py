@@ -1,11 +1,14 @@
 """Dataset files, result persistence, and plot-ready exports.
 
 Dataset schema: `individuals.csv` with header ``id,x,y,gang`` (gang may be
-empty) and `contacts.csv` with header ``id_a,id_b``. Coordinates are stored
-in meters with full float precision (repr round-trip). Reports are JSON with
-a fixed key order per command; plot-ready exports are long-format CSV with
-header ``param,value,metric,mean,std``. All files are UTF-8 with LF
-newlines, so a repeated run with the same seed is byte-identical.
+empty) and `contacts.csv` with header ``id_a,id_b``. Ids and group labels
+are stripped of surrounding whitespace and may not hold a line break, so a
+dataset that loads saves to files that load back to the same values.
+Coordinates are stored in meters with full float precision (repr
+round-trip). Reports are JSON with a fixed key order per command;
+plot-ready exports are long-format CSV with header
+``param,value,metric,mean,std``. All files are UTF-8 with LF newlines, so a
+repeated run with the same seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
     individuals: list[Individual] = []
     index: dict[str, int] = {}
     for line_no, (ident, x, y, gang) in _read_rows(files.individuals_csv, ("id", "x", "y", "gang")):
-        ident = ident.strip()
+        ident, gang = ident.strip(), gang.strip()
         if not ident:
             raise ParseError(files.individuals_csv, line_no, "empty id")
+        if any(c in ident + gang for c in "\r\n"):
+            raise ParseError(files.individuals_csv, line_no, "line break in an id or group label")
         if ident in index:
             raise ParseError(files.individuals_csv, line_no, f"duplicate id {ident!r}")
         try:
@@ -69,7 +74,7 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
         except ValueError:
             raise ParseError(files.individuals_csv, line_no, "bad coordinate") from None
         index[ident] = len(individuals)
-        individuals.append(Individual(id=ident, x=x, y=y, gang=gang.strip() or None))
+        individuals.append(Individual(id=ident, x=x, y=y, gang=gang or None))
 
     pairs: list[tuple[int, int]] = []
     for _, (a, b) in _read_rows(files.contacts_csv, ("id_a", "id_b")):

@@ -11,14 +11,14 @@ weight omega; quality is then evaluated against the per-slice null model
 plus the coupling term, normalized by
 2*mu = sum_s sum(d_s) + 2 * omega * n * (#adjacent slice pairs).
 
-`SliceStack` owns the slice model: it converts, validates and row-sums each
-distinct slice array once (the CLI's slices all share one), and records
-which array each slice reads, the strengths d of each, each slice's 2m and
-the array Louvain indexes. The move gain assumes symmetric weights, so it
-rejects a slice that is not exactly symmetric. The single-slice `louvain`
-and `modularity_score` symmetrize their input as (A + A^T) / 2 and run it
-as a one-slice stack at omega = 0; for an asymmetric A this changes Q,
-because the strengths d are then row sums of the symmetrized matrix.
+`SliceStack` owns the slice model and its one rule: the move gain assumes
+symmetric weights, so every slice A is read as (A + A^T) / 2, which keeps a
+symmetric A bit for bit. It symmetrizes and row-sums each distinct slice
+array once (the CLI's slices all share one), and records which array each
+slice reads, the strengths d of each and each slice's 2m. For an asymmetric
+A, Q is thus not the quality of A itself: d holds the symmetrized row sums.
+The single-slice `louvain` and `modularity_score` run A as a one-slice
+stack at omega = 0.
 
 Louvain never forms the supra-matrix B (B = A - gamma * d d^T / sum(d) per
 slice, plus omega couplings). It alternates greedy moves in seeded random
@@ -56,8 +56,8 @@ class DimensionMismatch(DataError):
 class SliceStack:
     """Ordered (adjacency, gamma) slices over one vertex set, plus the
     interslice coupling omega (nearest neighbors in gamma order). Slices
-    may share one array object. Slice s reads distinct array a[which[s]],
-    a view when all slices share one, with strengths d[which[s]] and sum twom[s]."""
+    may share one array object. Slice s reads a[which[s]], its array A
+    symmetrized once as (A + A^T) / 2, with strengths d[which[s]] and sum twom[s]."""
 
     slices: list[tuple[np.ndarray, float]]
     omega: float
@@ -71,9 +71,9 @@ class SliceStack:
             raise DataError("slice stack is empty")
         self.slices = [(a, float(g)) for a, g in self.slices]
         check_slice_params(self.gammas, self.omega)
-        # Convert, check and sum each distinct object once; shared ones stay shared.
+        # Convert and check each distinct object once; shared ones stay shared.
         index: dict[int, int] = {}
-        arrays, strengths = [], []
+        arrays, first = [], []
         for s, (a, _) in enumerate(self.slices):
             if id(a) in index:
                 continue
@@ -81,16 +81,22 @@ class SliceStack:
             a = np.asarray(a, dtype=float)
             if a.ndim != 2 or a.shape[0] != a.shape[1] or (arrays and a.shape != arrays[0].shape):
                 raise DataError("all slices must share the same square shape")
-            if not np.array_equal(a, a.T):
-                raise DataError(f"slice {s} is not symmetric")
-            strengths.append(a.sum(axis=1))
+            arrays.append(a)
+            first.append(s)
+        self.which = np.array([index[id(a)] for a, _ in self.slices])
+        self.a = np.empty((len(arrays), *arrays[0].shape))
+        strengths = []
+        for sym, a, s in zip(self.a, arrays, first):
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(a, a.T, out=sym)
+            sym *= 0.5  # the same bits as 0.5 * (a + a.T)
+            if not np.isfinite(sym).all():
+                raise DataError(f"slice {s} has a non-finite weight")
+            strengths.append(sym.sum(axis=1))
             if float(strengths[-1].sum()) == 0.0:
                 raise EmptyGraph(f"slice {s} has zero total strength")
-            arrays.append(a)
-        self.which = np.array([index[id(a)] for a, _ in self.slices])
         self.d = np.array(strengths)
         self.twom = self.d.sum(axis=1)[self.which]
-        self.a = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
         views = list(self.a)  # so the stack holds each array once
         self.slices = [(views[w], g) for w, (_, g) in zip(self.which, self.slices)]
 
@@ -289,17 +295,10 @@ def _local_phase(stack: SliceStack, member: np.ndarray, labels: np.ndarray,
         improved = True
 
 
-def _one_slice(adjacency, gamma: float) -> SliceStack:
-    """The stack of one slice, (A + A^T) / 2 at resolution gamma, omega = 0."""
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError("adjacency must be square")
-    return SliceStack([(0.5 * (a + a.T), gamma)], omega=0.0)
-
-
 def modularity_score(adjacency, partition, gamma: float) -> float:
     """Evaluate Q for one adjacency matrix and partition."""
-    return multislice_score(_one_slice(adjacency, gamma), _as_labels(partition).reshape(-1, 1))
+    stack = SliceStack([(adjacency, gamma)], omega=0.0)
+    return multislice_score(stack, _as_labels(partition).reshape(-1, 1))
 
 
 def louvain(adjacency, gamma: float, seed: int,
@@ -309,7 +308,7 @@ def louvain(adjacency, gamma: float, seed: int,
     `trace`, when a list, collects the quality value after initialization and
     after each level (local-move phase plus aggregation); it is nondecreasing.
     """
-    res = multislice_louvain(_one_slice(adjacency, gamma), seed, trace=trace)
+    res = multislice_louvain(SliceStack([(adjacency, gamma)], omega=0.0), seed, trace=trace)
     return Partition(res.assignment[:, 0], objective=res.objective)
 
 

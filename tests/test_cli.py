@@ -10,6 +10,7 @@ import pytest
 import geocluster
 from geocluster import baselines
 from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
+from geocluster.errors import DataError
 from geocluster.io import load_results
 from geocluster.modularity import louvain
 from geocluster.graph import Individual, build_weight_matrix, compute_sigma, normalize
@@ -102,6 +103,19 @@ class TestSpectralCommand:
         ])
         assert code == 3
         assert "--runs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "gt-sweep", "baselines"])
+    def test_runs_above_bound_exits_before_load(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch, command):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--runs", "10001"]) == 3
+        assert "at most 10000, got 10001" in capsys.readouterr().err
+        assert main([*argv, "--runs", "10000"]) == 3
+        assert "dataset load reached" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row", [b"z,1,1," + b"g" * 140_000, b"z,1,1,\xff"],
                              ids=["over_long_field", "non_utf8_byte"])

@@ -216,11 +216,44 @@ class TestSliceStack:
         with pytest.raises(DataError, match="omega must be finite and nonnegative"):
             SliceStack([(two_cliques(3), 1.0)], omega=omega)
 
-    def test_rejects_asymmetric_slice(self):
+    @pytest.mark.parametrize("layout", ["single", "distinct", "shared"])
+    def test_asymmetric_slice_reads_as_its_symmetrization(self, layout):
+        rng = np.random.default_rng(13)
+        a = rng.uniform(0.0, 1.0, size=(7, 7)) * (rng.random(size=(7, 7)) < 0.6)
+        b = random_weighted_graph(rng, 7)
+        slices = {"single": [a], "distinct": [b, a, b], "shared": [a, a, a]}[layout]
+        gammas = [0.5, 1.0, 2.0][:len(slices)]
+        stack = SliceStack(list(zip(slices, gammas)), omega=0.5)
+        sym = SliceStack([(0.5 * (x + x.T) if x is a else x, g)
+                          for x, g in zip(slices, gammas)], omega=0.5)
+        assignment = rng.integers(0, 3, size=(7, len(slices)))
+        assert multislice_score(stack, assignment) == multislice_score(sym, assignment)
+        res, expected = multislice_louvain(stack, seed=3), multislice_louvain(sym, seed=3)
+        assert np.array_equal(res.assignment, expected.assignment)
+        assert res.objective == expected.objective
+
+    def test_symmetric_slice_kept_bit_for_bit(self, small_graph):
+        t = normalize(small_graph)
+        sym = 0.5 * (t + t.T)
+        assert not np.array_equal(t, t.T)
+        stack = SliceStack([(t, 0.5), (t, 1.0)], omega=1.0)
+        assert stack.a.shape == (1, *t.shape) and not np.shares_memory(stack.a, t)
+        assert stack.a[0].tobytes() == sym.tobytes()
+        assert SliceStack([(sym, 1.0)], omega=0.0).a[0].tobytes() == sym.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, bad):
         a = two_cliques(3)
-        a[0, 1] = 2.0
-        with pytest.raises(DataError, match="slice 1 is not symmetric"):
+        a[0, 1] = bad
+        with pytest.raises(DataError, match="slice 1 has a non-finite weight"):
             SliceStack([(two_cliques(3), 1.0), (a, 2.0)], omega=1.0)
+        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
+            louvain(a, 1.0, seed=0)
+        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
+            modularity_score(a, np.zeros(a.shape[0], dtype=int), 1.0)
+        a[1, 0] = -bad  # inf - inf is nan, not a warning
+        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
+            SliceStack([(a, 1.0)], omega=0.0)
 
     @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones(3), np.ones((2, 3)),
                                      np.ones((2, 2, 2)), np.ones((3, 3))])
@@ -238,9 +271,9 @@ class TestSliceStack:
 
     def test_shared_array_converted_once_first_slice_named(self):
         a = two_cliques(3)
-        a[0, 1] = 2.0
-        # the first slice that holds the asymmetric array is named
-        with pytest.raises(DataError, match="slice 1 is not symmetric"):
+        a[0, 1] = np.nan
+        # the first slice that holds the non-finite array is named
+        with pytest.raises(DataError, match="slice 1 has a non-finite weight"):
             SliceStack([(two_cliques(3), 1.0), (a, 2.0), (a, 3.0)], omega=1.0)
         rows = two_cliques(3).tolist()
         stack = SliceStack([(rows, 1.0), (rows, 2.0), (two_cliques(3), 3.0)], omega=1.0)
