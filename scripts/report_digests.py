@@ -6,12 +6,16 @@ on that workload's datasets, generated with seed 18 + 1000 i, and compares
 the sha256 of each report JSON and plot CSV with `report_digests.json`
 (beside this script). Every command is a `python -m geocluster.cli`
 subprocess of this checkout's `src/`, run in a temporary directory with
-relative paths and `OPENBLAS_NUM_THREADS=1`, because report bytes depend on
-the BLAS thread count. The manifest records the numpy and scipy versions
-and the thread count with the digests; digests from other versions need
-not match. A change that should keep reports byte-identical runs `--check`;
-one that changes them on purpose rewrites the manifest with `--write` and
-says so. It takes about 40 s on a 2-core x86-64 container.
+relative paths. Report bytes depend on the BLAS thread count, so every
+command runs twice, with `OPENBLAS_NUM_THREADS=1` and `=2`, and each
+manifest key starts with its thread count (`1/sweep/...`, `2/sweep/...`);
+`--check` also counts the reports whose bytes differ between the two
+counts. The datasets are generated once, at 1 thread. The manifest records
+the numpy and scipy versions and the thread counts with the digests;
+digests from other versions need not match. A change that should keep
+reports byte-identical runs `--check`; one that changes them on purpose
+rewrites the manifest with `--write` and says so. It takes about 80 s on a
+2-core x86-64 container.
 
 Usage:
     python scripts/report_digests.py --check
@@ -33,7 +37,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("report_digests.json")
-THREADS = "1"
+THREADS = ("1", "2")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import DEFAULT_SEED, WORKLOADS, WRITES_CSV  # noqa: E402
@@ -41,11 +45,11 @@ from workloads import DEFAULT_SEED, WORKLOADS, WRITES_CSV  # noqa: E402
 
 def environment() -> dict:
     return {"numpy": numpy.__version__, "scipy": scipy.__version__,
-            "openblas_num_threads": int(THREADS)}
+            "openblas_num_threads": [int(t) for t in THREADS]}
 
 
-def cli(argv: list[str], cwd: Path) -> None:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": THREADS}
+def cli(argv: list[str], cwd: Path, threads: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
     proc = subprocess.run([sys.executable, "-m", "geocluster.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -58,8 +62,9 @@ def sha256(path: Path) -> str:
 
 
 def run_all(work: Path) -> dict:
-    """sha256 of every report and plot CSV, keyed by their relative paths.
-    Datasets that two workloads share are generated once."""
+    """sha256 of every report and plot CSV at each thread count, keyed by
+    their relative paths, which start with the thread count. Datasets that
+    two workloads share are generated once."""
     digests = {}
     (work / "data").mkdir()
     for workload in WORKLOADS.values():
@@ -67,16 +72,26 @@ def run_all(work: Path) -> dict:
             dataset = f"data/{workload.dataset_name(dataset_seed)}"
             if not (work / dataset).exists():
                 cli(["generate", *workload.generate, "--seed", str(dataset_seed),
-                     "--out", dataset], work)
-            out_dir = work / workload.name / f"dataset{i}"
-            out_dir.mkdir(parents=True)
-            for index, command in enumerate(workload.commands):
-                report = out_dir / f"{index}-{command[0]}.json"
-                out = str(report.relative_to(work))
-                cli([tok.format(dataset=dataset, out=out) for tok in command], work)
-                paths = [report, report.with_suffix(".csv")] if command[0] in WRITES_CSV else [report]
-                digests.update({str(p.relative_to(work)): sha256(p) for p in paths})
+                     "--out", dataset], work, THREADS[0])
+            for threads in THREADS:
+                out_dir = work / threads / workload.name / f"dataset{i}"
+                out_dir.mkdir(parents=True)
+                for index, command in enumerate(workload.commands):
+                    report = out_dir / f"{index}-{command[0]}.json"
+                    out = str(report.relative_to(work))
+                    cli([tok.format(dataset=dataset, out=out) for tok in command], work, threads)
+                    paths = ([report, report.with_suffix(".csv")] if command[0] in WRITES_CSV
+                             else [report])
+                    digests.update({str(p.relative_to(work)): sha256(p) for p in paths})
     return digests
+
+
+def thread_dependent(digests: dict) -> list[str]:
+    """Reports (keys without the thread count) whose bytes differ between
+    the thread counts."""
+    keys = {key.split("/", 1)[1] for key in digests}
+    return sorted(key for key in keys
+                  if len({digests.get(f"{t}/{key}") for t in THREADS}) > 1)
 
 
 def main() -> int:
@@ -111,6 +126,9 @@ def main() -> int:
     matched = sum(digests.get(k) == v for k, v in expected.items())
     print(f"{matched} of {len(expected)} reports match "
           f"the manifest in {elapsed:.1f} s")
+    differ = thread_dependent(digests)
+    print(f"{len(differ)} of {len(digests) // len(THREADS)} reports differ between "
+          f"{' and '.join(THREADS)} BLAS threads: {', '.join(differ) or 'none'}")
     return 1 if mismatched else 0
 
 

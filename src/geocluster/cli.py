@@ -112,6 +112,8 @@ def _parse_floats(text: str) -> list[float]:
         raise DataError(f"could not parse float list {text!r}") from None
     if not values:
         raise DataError(f"empty value list {text!r}")
+    if len(values) > MAX_GRID_POINTS:
+        raise DataError(f"value list has {len(values)} values, more than {MAX_GRID_POINTS}")
     return values
 
 
@@ -370,6 +372,10 @@ def cmd_gt_sweep(args) -> int:
     alphas = sorted(_parse_floats(args.alphas))
     p_grid = sorted(_parse_grid(args.p_grid))
     q_list = sorted(_parse_floats(args.q_list))
+    points = len(q_list) * len(alphas) * len(p_grid)
+    if points > MAX_GRID_POINTS:
+        raise DataError(f"gt-sweep grid has {len(q_list)} x {len(alphas)} x {len(p_grid)} = "
+                        f"{points} points, more than {MAX_GRID_POINTS}")
     run_config = _run_config(args)
     out, individuals, social, labels, sigma = _load(args)
     records = []

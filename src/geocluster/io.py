@@ -90,7 +90,7 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
 
 
 def _read_rows(path, required) -> list[tuple[int, list[str]]]:
-    """(line number, required fields) for each nonblank row of a UTF-8 CSV,
+    """(first line number, required fields) for each nonblank row of a UTF-8 CSV,
     BOM or not; a byte that is not UTF-8, a field over the `csv` module's
     size limit, a header that repeats a name or a row whose field count
     differs from the header's is a `ParseError`."""
@@ -104,8 +104,13 @@ def _read_rows(path, required) -> list[tuple[int, list[str]]]:
         raise ParseError(path, len(prefix.readlines()),
                          f"not UTF-8 ({exc.reason} {data[exc.start]:#04x})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    lines, first = [], 1
     try:
-        lines = [(reader.line_num, row) for row in reader]
+        for row in reader:
+            # A row's own line is its first: a quoted line break moves
+            # `line_num` on to the row's last line.
+            lines.append((first, row))
+            first = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, str(exc)) from None
     header = lines[0][1] if lines else []

@@ -4,14 +4,22 @@ The leading right-eigenvectors of D^-1 W approximate cluster indicator
 functions. They are computed through the symmetric similarity transform
 M = D^-1/2 W D^-1/2 (v = D^-1/2 u for each symmetric eigenvector u), so a
 symmetric eigensolver suffices and all eigenvalues are real. Only the k
-leading pairs are solved for, by LAPACK's subset driver (scipy.linalg.eigh
-with subset_by_index), on one n x n working array beside W; the whole
-spectrum is solved only when rounding ties make LAPACK return fewer than k.
+leading pairs are solved for, by LAPACK's MRRR subset routine dsyevr, on one
+n x n working array beside W; the whole spectrum is solved, by dsyevd, only
+when rounding ties make LAPACK return fewer than k. Both routines are called
+through scipy's own f2py binding, the module `scipy.linalg.lapack`
+re-exports, loaded without importing the `scipy.linalg` package (see
+`_lapack`).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -105,26 +113,97 @@ def embed(graph: GeoSocialGraph, k: int) -> Embedding:
         # eigenvalue 1 repeats once per connected component). Its documented
         # cure: solve the whole spectrum (divide and conquer; MRRR is several
         # times slower on such clusters) and keep the top k.
-        vals, vecs = _scaled_eigh(graph.W, root, driver="evd")
+        vals, vecs = _scaled_eigh(graph.W, root)
         vals, vecs = vals[n - k:], vecs[:, n - k:]
     coords = vecs[:, ::-1] / root[:, None]
     return Embedding(coords=coords, eigenvalues=vals[::-1])
 
 
-def _scaled_eigh(w: np.ndarray, root: np.ndarray, **solver) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of D^-1/2 W D^-1/2 from scipy.linalg.eigh with
-    the `solver` options, on one n x n working array."""
-    # Imported here: at module level it adds ~90 ms to every CLI process.
-    import scipy.linalg
+def _scaled_eigh(w: np.ndarray, root: np.ndarray,
+                 subset_by_index: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of D^-1/2 W D^-1/2 on one n x n working array.
 
+    With `subset_by_index` [lo, hi], the pairs lo..hi (0-based, inclusive)
+    from LAPACK's subset routine dsyevr, which may return fewer when rounding
+    ties a cluster of eigenvalues across lo; without it, the whole spectrum
+    from dsyevd. The calls are those `scipy.linalg.eigh` makes for
+    `subset_by_index=[lo, hi]` and for `driver="evd"`: lower triangle, the
+    workspace sizes LAPACK's own query returns (a smaller workspace changes
+    the blocking and so the rounding), and the same checks, so the eigenpairs
+    are bit-identical to eigh's. A non-finite matrix raises eigh's
+    ValueError, and a LAPACK failure raises ConvergenceFailure.
+    """
     sym = np.outer(root, root)
     np.divide(w, sym, out=sym)
-    try:
-        # sym is exactly symmetric, so its F-ordered view sym.T is the same
-        # matrix and LAPACK overwrites it in place instead of copying.
-        return scipy.linalg.eigh(sym.T, overwrite_a=True, **solver)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    np.asarray_chkfinite(sym)
+    # sym is exactly symmetric, so its F-ordered view sym.T is the same
+    # matrix and LAPACK overwrites it in place instead of copying.
+    lapack, a, n = _lapack(), sym.T, sym.shape[0]
+    if subset_by_index is None:
+        lwork, liwork = _workspace(lapack.dsyevd_lwork, n, compute_v=1, lower=1)
+        return tuple(_checked(lapack.dsyevd, a, compute_v=1, lower=1, lwork=lwork,
+                              liwork=liwork, overwrite_a=1))
+    lo, hi = subset_by_index
+    lwork, liwork = _workspace(lapack.dsyevr_lwork, n, lower=1)
+    vals, vecs, m, _ = _checked(lapack.dsyevr, a, compute_v=1, range="I", lower=1,
+                                il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork, overwrite_a=1)
+    return vals[:m], vecs[:, :m]
+
+
+def _workspace(query, n: int, **options) -> list[int]:
+    """Workspace sizes (lwork, liwork) from a LAPACK workspace query for
+    order n, as `scipy.linalg.eigh` rounds them."""
+    sizes = [int(size) for size in _checked(query, n, **options)]
+    if max(sizes) > np.iinfo(np.int32).max:
+        raise ValueError(f"LAPACK {query.__name__}: a workspace of {max(sizes)} "
+                         "exceeds 32-bit LAPACK")
+    return sizes
+
+
+def _checked(routine, *args, **kwargs) -> list:
+    """The outputs of a LAPACK routine less its trailing `info`, which must
+    be 0: negative means an illegal argument, positive a failed solve."""
+    *out, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"LAPACK {routine.__name__}: illegal value in argument {-info}")
+    if info > 0:
+        raise ConvergenceFailure(
+            f"eigensolver failed: LAPACK {routine.__name__} returned info={info}")
+    return out
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK binding `scipy.linalg._flapack`, loaded from its
+    extension file.
+
+    The `scipy.linalg` package is not imported: with scipy 1.17 that
+    import takes about 0.3 s and grows RSS from about 27 to 55 MB (its
+    array-API shim imports numpy.f2py and numpy.testing), more than the
+    eigensolves of a whole `sweep-alpha` command. Importing scipy and
+    loading the binding alone takes about 30 ms and 5 MB. The module is
+    private to scipy, so a scipy release that moves or renames it fails
+    here with an ImportError naming the path and the scipy version; the
+    routines and their arguments are LAPACK's and f2py's. A binding already
+    imported, for instance by `scipy.linalg`, is reused, and one loaded
+    here is the module a later `import scipy.linalg` uses.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy  # here, so that commands which never embed do not pay for it
+
+    linalg = Path(scipy.__file__).parent / "linalg"
+    paths = [linalg / ("_flapack" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK binding at {paths[0]}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:

@@ -117,6 +117,41 @@ class TestSpectralCommand:
         assert main([*argv, "--runs", "10000"]) == 3
         assert "dataset load reached" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("sweep-alpha", "--alphas"), ("baselines", "--alphas"), ("gt-sweep", "--alphas"),
+        ("gt-sweep", "--q-list"), ("gt-sweep", "--p-grid"), ("multislice", "--gamma-grid"),
+    ])
+    def test_value_list_above_bound_exits_before_load(self, dataset_dir, tmp_path, capsys,
+                                                      monkeypatch, command, flag):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        def values(count):
+            return ",".join(str((i + 1) / (count + 1)) for i in range(count))
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
+        if command == "gt-sweep":
+            argv += ["--alphas", "0.5", "--p-grid", "0", "--q-list", "0"]
+        assert main([*argv, flag, values(10_001)]) == 3
+        err = capsys.readouterr().err
+        assert "value list has 10001 values, more than 10000" in err and len(err) < 200
+        assert main([*argv, flag, values(10_000)]) == 3
+        assert "dataset load reached" in capsys.readouterr().err
+
+    def test_gt_sweep_product_above_bound_exits_before_load(self, dataset_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        argv = ["gt-sweep", "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json"),
+                "--alphas", ",".join(["0.5"] * 100)]
+        assert main([*argv, "--p-grid", "0:1:0.01", "--q-list", "0,0.1"]) == 3
+        assert "2 x 100 x 101 = 20200 points, more than 10000" in capsys.readouterr().err
+        assert main([*argv, "--p-grid", "0:0.99:0.01", "--q-list", "0"]) == 3
+        assert "dataset load reached" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_row", [b"z,1,1," + b"g" * 140_000, b"z,1,1,\xff"],
                              ids=["over_long_field", "non_utf8_byte"])
     def test_unreadable_dataset_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
@@ -445,6 +480,16 @@ class TestHelpers:
         with pytest.raises(SystemExit) as err:
             main(["spectral"])  # missing required flags
         assert err.value.code == 2
+
+    def test_spectral_command_leaves_scipy_linalg_unloaded(self, dataset_dir, tmp_path):
+        code = ("import sys; from geocluster.cli import main; "
+                f"code = main(['spectral', '--dataset', {str(dataset_dir)!r}, '--k', '6', "
+                f"'--runs', '2', '--out', {str(tmp_path / 'r.json')!r}]); "
+                "print(code, 'scipy.linalg' in sys.modules)")
+        src = str(Path(geocluster.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == "0 False"
 
     def test_cli_import_leaves_scipy_sparse_unloaded(self):
         code = ("import sys, geocluster.cli; "

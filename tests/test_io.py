@@ -119,7 +119,13 @@ class TestLoadDataset:
         fields[column] = f'"x{brk}y"'
         files = write_dataset(tmp_path, ["a,0,0,", ",".join(fields.values())], [])
         with pytest.raises(ParseError,
-                           match=r"individuals\.csv:4: line break in an id or group label"):
+                           match=r"individuals\.csv:3: line break in an id or group label"):
+            load_dataset(files)
+
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\r\n"], ids=["cr", "lf", "crlf"])
+    def test_ragged_multi_line_row_names_its_first_line(self, tmp_path, brk):
+        files = write_dataset(tmp_path, ["a,0,0,", f'b,1,1,"g{brk}h",extra', "c,2,2,"], [])
+        with pytest.raises(ParseError, match=r"individuals\.csv:3: has 5 fields, not 4"):
             load_dataset(files)
 
     def test_line_numbers_count_blank_lines(self, tmp_path):

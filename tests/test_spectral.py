@@ -7,6 +7,7 @@ from pathlib import Path
 import geocluster
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from geocluster import spectral
 from geocluster.baselines import kmeans_columns
 from geocluster.spectral import (
     KMEANS_MAX_ITER,
+    ConvergenceFailure,
     Partition,
     _assigned_sq_dist,
     _scaled_eigh,
@@ -161,6 +163,122 @@ class TestPartialEigensolve:
         assert np.abs(t @ first.coords - first.coords * first.eigenvalues).max() <= 1e-8
         gram = first.coords.T @ (graph.d[:, None] * first.coords)
         np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 250])
+    def test_bit_identical_to_scipy_eigh(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(size=(n, n))
+        w = a + a.T
+        root = np.sqrt(w.sum(axis=1))
+        sym = w / np.outer(root, root)
+        for k in sorted({k for k in (1, 2, (n + 1) // 2, n) if k <= n}):
+            subset = [n - k, n - 1]
+            mine = _scaled_eigh(w, root, subset_by_index=subset)
+            ref = scipy.linalg.eigh(sym, subset_by_index=subset)
+            assert all(map(np.array_equal, mine, ref))
+        mine, ref = _scaled_eigh(w, root), scipy.linalg.eigh(sym, driver="evd")
+        assert all(map(np.array_equal, mine, ref))
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_tied_space_bit_identical_to_scipy_eigh(self, k):
+        # The instance of test_tied_leading_space: for k <= 2 the subset
+        # solve returns fewer than k pairs and embed uses the full solve.
+        inds, social = random_instance(np.random.default_rng(6), 60, contact_rate=0.01)
+        graph = build_weight_matrix(inds, social, 1.0, 800.0)
+        n, root = graph.n, np.sqrt(graph.d)
+        sym = graph.W / np.outer(root, root)
+        subset = [n - k, n - 1]
+        mine = _scaled_eigh(graph.W, root, subset_by_index=subset)
+        ref = scipy.linalg.eigh(sym, subset_by_index=subset)
+        assert (mine[0].size < k) == (k <= 2)
+        assert all(map(np.array_equal, mine, ref))
+        full, ref = _scaled_eigh(graph.W, root), scipy.linalg.eigh(sym, driver="evd")
+        assert all(map(np.array_equal, full, ref))
+        emb = embed(graph, k)
+        solved = mine if mine[0].size == k else (full[0][n - k:], full[1][:, n - k:])
+        assert np.array_equal(emb.eigenvalues, solved[0][::-1])
+        assert np.array_equal(emb.coords, solved[1][:, ::-1] / root[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        w = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]])
+        w[0, 2] = w[2, 0] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _scaled_eigh(w, np.ones(3), subset_by_index=[1, 2])
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _scaled_eigh(w, np.ones(3))
+
+    @pytest.mark.parametrize("info,error,message", [
+        (1, ConvergenceFailure, "dsyev[rd] returned info=1"),
+        (-3, ValueError, "dsyev[rd]: illegal value in argument 3"),
+    ])
+    def test_lapack_info_raises(self, monkeypatch, info, error, message):
+        real = spectral._lapack()
+
+        class Failing:
+            dsyevr_lwork, dsyevd_lwork = real.dsyevr_lwork, real.dsyevd_lwork
+
+            @staticmethod
+            def dsyevr(a, **kwargs):
+                *out, _ = real.dsyevr(a, **kwargs)
+                return (*out, info)
+
+            @staticmethod
+            def dsyevd(a, **kwargs):
+                *out, _ = real.dsyevd(a, **kwargs)
+                return (*out, info)
+
+        monkeypatch.setattr(spectral, "_lapack", lambda: Failing)
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(error, match=message):
+            _scaled_eigh(w, np.ones(2), subset_by_index=[1, 1])
+        with pytest.raises(error, match=message):
+            _scaled_eigh(w, np.ones(2))
+
+    def test_scipy_linalg_usable_after_embed(self):
+        # embed loads the LAPACK binding itself; a later `import scipy.linalg`
+        # must pick up that module and solve with the same bits.
+        code = """if True:
+            import sys
+            import numpy as np
+            from geocluster.graph import GeoSocialGraph
+            from geocluster.spectral import _scaled_eigh, embed
+            rng = np.random.default_rng(3)
+            a = rng.uniform(size=(40, 40))
+            w = a + a.T
+            graph = GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=0.5, sigma=1.0)
+            root = np.sqrt(graph.d)
+            emb = embed(graph, 5)
+            mine = _scaled_eigh(w, root, subset_by_index=[35, 39])
+            assert "scipy.linalg" not in sys.modules
+            import scipy.linalg
+            ref = scipy.linalg.eigh(w / np.outer(root, root), subset_by_index=[35, 39])
+            assert all(map(np.array_equal, mine, ref))
+            assert np.array_equal(emb.eigenvalues, ref[0][::-1])
+            assert scipy.linalg.lapack.dsyevr is sys.modules["scipy.linalg._flapack"].dsyevr
+            print("ok")
+        """
+        src = str(Path(geocluster.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
+    def test_missing_binding_names_path_and_version(self, tmp_path):
+        code = f"""if True:
+            import scipy
+            from geocluster import spectral
+            scipy.__file__ = {str(tmp_path / "__init__.py")!r}
+            try:
+                spectral._lapack()
+            except ImportError as exc:
+                print(exc)
+        """
+        src = str(Path(geocluster.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert str(tmp_path / "linalg" / "_flapack") in out.stdout
+        assert f"scipy {scipy.__version__}" in out.stdout
 
     def test_package_import_leaves_scipy_linalg_unloaded(self):
         code = "import sys, geocluster; print('scipy.linalg' in sys.modules)"
