@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import gmm_cluster, kmeans_columns
 from .errors import DataError, NumericalError
-from .graph import build_weight_matrix, compute_sigma, locations, normalize
+from .graph import build_weight_matrix, check_alpha, compute_sigma, locations, normalize
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
 from .metrics import contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, check_slice_params, multislice_louvain
@@ -105,36 +105,50 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="report JSON path")
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise DataError(f"could not parse float list {text!r}") from None
-    if not values:
-        raise DataError(f"empty value list {text!r}")
-    if len(values) > MAX_GRID_POINTS:
-        raise DataError(f"value list has {len(values)} values, more than {MAX_GRID_POINTS}")
-    return values
+def _clip(text: str) -> str:
+    """`text` quoted for an error message, cut to a fixed length."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either a comma list or start:stop:step (stop inclusive within 1e-9)."""
+    """A value list: either a comma list or start:stop:step (stop inclusive
+    within 1e-9), with at most MAX_GRID_POINTS values."""
     if ":" not in text:
-        return _parse_floats(text)
+        tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+        values = []
+        for position, tok in enumerate(tokens, 1):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise DataError(f"could not parse value {position} of {len(tokens)} "
+                                f"in a value list: {_clip(tok)}") from None
+        if not values:
+            raise DataError(f"empty value list {_clip(text)}")
+        if len(values) > MAX_GRID_POINTS:
+            raise DataError(f"value list has {len(values)} values, more than {MAX_GRID_POINTS}")
+        return values
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
-        raise DataError(f"could not parse grid {text!r}") from None
+        raise DataError(f"could not parse grid {_clip(text)}") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise DataError(f"grid {text!r} needs a finite start, stop and step")
+        raise DataError(f"grid {_clip(text)} needs a finite start, stop and step")
     if step <= 0 or stop < start:
-        raise DataError(f"bad grid bounds in {text!r}")
+        raise DataError(f"bad grid bounds in {_clip(text)}")
     span = (stop - start) / step
     if span >= MAX_GRID_POINTS:
-        raise DataError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise DataError(f"grid {_clip(text)} has more than {MAX_GRID_POINTS} points")
     count = int(round(span)) + 1
     grid = [start + i * step for i in range(count)]
     return [g for g in grid if g <= stop + 1e-9]
+
+
+def _alpha_list(text: str) -> list[float]:
+    """The sorted values of an --alphas list, each checked by the alpha rule."""
+    alphas = sorted(_parse_grid(text))
+    for alpha in alphas:
+        check_alpha(alpha)
+    return alphas
 
 
 def _load(args):
@@ -161,6 +175,8 @@ def _out_path(raw: str) -> Path:
 
 def _run_config(args) -> dict:
     """The config tail of a multi-run command: k, runs and each run's seed."""
+    if args.k < 1:
+        raise DataError(f"--k must be at least 1, got {args.k}")
     if not 1 <= args.runs <= MAX_GRID_POINTS:
         raise DataError(f"--runs must be at least 1 and at most {MAX_GRID_POINTS}, got {args.runs}")
     return {"k": args.k, "runs": args.runs,
@@ -272,6 +288,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    check_alpha(args.alpha)
     run_config = _run_config(args)
     out, individuals, social, labels, sigma = _load(args)
     graph = build_weight_matrix(individuals, social, args.alpha, sigma)
@@ -286,7 +303,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    alphas = sorted(_parse_floats(args.alphas))
+    alphas = _alpha_list(args.alphas)
     run_config = _run_config(args)
     out, individuals, social, labels, sigma = _load(args)
     # Each W is passed straight through, so it is freed before the next is built.
@@ -305,6 +322,7 @@ def cmd_sweep_alpha(args) -> int:
 def cmd_multislice(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     check_slice_params(gammas, args.omega)  # before the dataset load and W build
+    check_alpha(args.alpha)
     out, individuals, social, labels, sigma = _load(args)
     transition = normalize(build_weight_matrix(individuals, social, args.alpha, sigma))
     stack = SliceStack([(transition, g) for g in gammas], omega=args.omega)
@@ -369,23 +387,26 @@ def local_maxima(values: list[float]) -> list[int]:
 
 
 def cmd_gt_sweep(args) -> int:
-    alphas = sorted(_parse_floats(args.alphas))
+    alphas = _alpha_list(args.alphas)
     p_grid = sorted(_parse_grid(args.p_grid))
-    q_list = sorted(_parse_floats(args.q_list))
+    q_list = sorted(_parse_grid(args.q_list))
     points = len(q_list) * len(alphas) * len(p_grid)
     if points > MAX_GRID_POINTS:
         raise DataError(f"gt-sweep grid has {len(q_list)} x {len(alphas)} x {len(p_grid)} = "
                         f"{points} points, more than {MAX_GRID_POINTS}")
     run_config = _run_config(args)
+    # Constructing the params checks every p and q before the dataset load.
+    grid = [(alpha, GtParams(p=p, q=q, seed=args.seed + GT_SEED_STRIDE * (index + 1)))
+            for index, (q, alpha, p) in enumerate(product(q_list, alphas, p_grid))]
     out, individuals, social, labels, sigma = _load(args)
     records = []
-    for index, (q, alpha, p) in enumerate(product(q_list, alphas, p_grid)):
-        gt_seed = args.seed + GT_SEED_STRIDE * (index + 1)
-        gt = gt_matrix(labels, GtParams(p=p, q=q, seed=gt_seed))
+    for alpha, params in grid:
+        gt = gt_matrix(labels, params)
         # The geographic kernel stays fixed: sigma comes from the observed
         # contacts even though the social matrix is swapped for GT(p, q).
         records.append(_score_spectral(individuals, labels, run_config["seeds"],
-                                       {"q": q, "alpha": alpha, "p": p, "gt_seed": gt_seed},
+                                       {"q": params.q, "alpha": alpha, "p": params.p,
+                                        "gt_seed": params.seed},
                                        build_weight_matrix(individuals, gt, alpha, sigma), args.k))
     equivalence_p = gt_equivalence_point(labels, social)
     print(f"equivalence point p* = {equivalence_p:.4f}")
@@ -401,7 +422,7 @@ def cmd_gt_sweep(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    alphas = sorted(_parse_floats(args.alphas))
+    alphas = _alpha_list(args.alphas)
     run_config = _run_config(args)
     seeds = run_config["seeds"]
     out, individuals, social, labels, sigma = _load(args)

@@ -155,6 +155,12 @@ def compute_sigma(individuals: Sequence[Individual], social: SocialMatrix) -> fl
     return sigma
 
 
+def check_alpha(alpha: float) -> None:
+    """The blend weight rule: alpha lies in [0, 1]."""
+    if not (0.0 <= alpha <= 1.0):
+        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def build_weight_matrix(
     individuals: Sequence[Individual],
     social: SocialMatrix,
@@ -168,8 +174,7 @@ def build_weight_matrix(
     alpha=1 zeroes non-contact entries exactly, and a co-located contact pair
     gets weight exactly 1 for any alpha.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+    check_alpha(alpha)
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise InvalidSigma(f"sigma must be a positive finite length, got {sigma}")
     xy = locations(individuals)

@@ -139,6 +139,62 @@ class TestSpectralCommand:
         assert main([*argv, flag, values(10_000)]) == 3
         assert "dataset load reached" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("sweep-alpha", "--alphas"), ("baselines", "--alphas"), ("gt-sweep", "--alphas"),
+        ("gt-sweep", "--q-list"),
+    ])
+    def test_range_value_list_reaches_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                           command, flag):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
+        if command == "gt-sweep":
+            argv += ["--alphas", "0.5", "--p-grid", "0", "--q-list", "0"]
+        assert main([*argv, flag, "0:0.3:0.15"]) == 3
+        assert "dataset load reached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values,shown", [
+        (",".join(["x"] * 10_001), "value 1 of 10001 in a value list: 'x'"),
+        ("0.5," + "y" * 20_000, "value 2 of 2 in a value list: '" + "y" * 40 + "...'"),
+    ], ids=["10001_tokens", "long_token"])
+    def test_unparsable_value_list_names_first_bad_token(self, dataset_dir, tmp_path, capsys,
+                                                         values, shown):
+        assert main(["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", values,
+                     "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert shown in err and len(err) < 200
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectral", "--alpha", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+        (["spectral", "--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
+        (["multislice", "--alpha", "-0.1"], "alpha must lie in [0, 1], got -0.1"),
+        (["sweep-alpha", "--alphas", "0,0.2,0.4,0.6,0.8,1.5"],
+         "alpha must lie in [0, 1], got 1.5"),
+        (["baselines", "--alphas", "0.4,1.5"], "alpha must lie in [0, 1], got 1.5"),
+        (["gt-sweep", "--alphas", "0.4,1.5", "--p-grid", "0", "--q-list", "0"],
+         "alpha must lie in [0, 1], got 1.5"),
+        (["gt-sweep", "--alphas", "0.4,0.8", "--p-grid", "0,0.25,0.5,0.75,1.5", "--q-list", "0"],
+         "p must lie in [0, 1], got 1.5"),
+        (["gt-sweep", "--alphas", "0.4", "--p-grid", "0", "--q-list", "0,1.5"],
+         "q must lie in [0, 1], got 1.5"),
+        (["spectral", "--k", "0"], "--k must be at least 1, got 0"),
+        (["sweep-alpha", "--k", "-1"], "--k must be at least 1, got -1"),
+        (["gt-sweep", "--k", "0"], "--k must be at least 1, got 0"),
+        (["baselines", "--k", "0"], "--k must be at least 1, got 0"),
+    ], ids=["spectral_alpha", "spectral_nan_alpha", "multislice_alpha", "sweep_alpha_alphas",
+            "baselines_alphas", "gt_sweep_alphas", "gt_sweep_p", "gt_sweep_q", "spectral_k",
+            "sweep_alpha_k", "gt_sweep_k", "baselines_k"])
+    def test_bad_value_exits_before_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                         argv, message):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        assert main([*argv, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_gt_sweep_product_above_bound_exits_before_load(self, dataset_dir, tmp_path,
                                                             capsys, monkeypatch):
         def load_dataset(*args, **kwargs):

@@ -32,7 +32,7 @@ from oracles import pairlist_sample_contacts
 
 
 # The first datasets of the byte-check manifest that
-# scripts/generator_digests.py keeps, as extra pinned inputs: a generator
+# scripts/digests.py keeps, as extra pinned inputs: a generator
 # that drifts from the manifest fails here.
 MANIFEST = Path(__file__).resolve().parents[1] / "scripts" / "generator_digests.json"
 MANIFEST_PINS = [
