@@ -3,9 +3,11 @@
 Subcommands: generate | spectral | sweep-alpha | multislice | gt-sweep |
 baselines. Every command is reproducible: the same flags and seed yield a
 byte-identical report. Run r of a multi-run command uses seed = base + r,
-and the derived seeds are echoed in the output. Grid points run one after
-another, in grid order; the linear algebra inside each point already keeps
-every core busy through BLAS.
+and the derived seeds are echoed in the output. Grid points run in one
+process, in grid order, except that a chunk of points is embedded before
+its k-means runs (see `_score_spectral`); the linear algebra already keeps
+every core busy through BLAS. Every command writes its files before it
+prints anything, so a closed stdout (`| head`) cannot lose a report.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -38,6 +42,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader has gone; the command's files are already written.
+        # Python's documented recipe: point stdout at devnull, so the flush
+        # at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (FileNotFoundError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -173,8 +185,14 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"--seed must be at least 0, got {seed}")
+
+
 def _run_config(args) -> dict:
     """The config tail of a multi-run command: k, runs and each run's seed."""
+    _check_seed(args.seed)
     if args.k < 1:
         raise DataError(f"--k must be at least 1, got {args.k}")
     if not 1 <= args.runs <= MAX_GRID_POINTS:
@@ -183,11 +201,12 @@ def _run_config(args) -> dict:
             "seeds": [args.seed + r for r in range(args.runs)]}
 
 
-def _write(out: Path, args, config: dict, social, labels, body: dict, rows=None) -> None:
+def _write(out: Path, args, config: dict, social, labels, body: dict, rows=None,
+           summary=()) -> None:
     """Write a scoring command's report to `out`: the command, its config
     (the dataset first, then `config`), the contact diagnostics, then `body`.
-    Beside it goes the plot CSV of `rows` when they are given; the report
-    path is printed last."""
+    Beside it goes the plot CSV of `rows` when they are given. Only then are
+    the `summary` lines printed, and the report path last."""
     save_results({
         "command": args.command,
         "config": {"dataset": str(args.dataset), **config},
@@ -196,6 +215,8 @@ def _write(out: Path, args, config: dict, social, labels, body: dict, rows=None)
     }, out)
     if rows is not None:
         save_plot_csv(rows, out.with_suffix(".csv"))
+    for line in summary:
+        print(line)
     print(f"report: {out}")
 
 
@@ -252,12 +273,33 @@ def _score_runs(individuals, labels, seeds, lead: dict, parts, pick) -> dict:
     }
 
 
-def _score_spectral(individuals, labels, seeds, lead: dict, graph, k: int) -> dict:
-    """`_score_runs` for spectral clustering: one embedding of `graph`, then
-    k-means on it once per seed; the lowest k-means objective is best."""
-    coords = embed(graph, k).coords
-    return _score_runs(individuals, labels, seeds, lead,
-                       [kmeans(coords, k, seed) for seed in seeds], np.argmin)
+def _grid_chunk(n: int, k: int) -> int:
+    """Grid points whose n x k embeddings fit in half of one n x n array."""
+    return max(1, n // (2 * k))
+
+
+def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
+    """`_score_runs` for spectral clustering, one record per `(lead, build)`
+    point of `grid`, in grid order: `build()` returns the point's graph, and
+    k-means runs once per seed on its embedding; the lowest objective is best.
+
+    The grid runs in chunks of `_grid_chunk` points, each in two phases:
+    first every point's W is built and embedded (scipy's OpenBLAS), keeping
+    only the n x k coordinates, so each W is freed before the next is built;
+    then every k-means runs (numpy's OpenBLAS). Each OpenBLAS build keeps a
+    worker thread spinning after its calls, so alternating the two per point
+    makes the pools contend for the cores. Every RNG stream is the point's
+    own, so the order changes no result."""
+    size = _grid_chunk(len(individuals), k)
+    records = []
+    for start in range(0, len(grid), size):
+        chunk = grid[start:start + size]
+        held = [embed(build(), k).coords for _, build in chunk]
+        for (lead, _), coords in zip(chunk, held):
+            records.append(_score_runs(individuals, labels, seeds, lead,
+                                       [kmeans(coords, k, seed) for seed in seeds], np.argmin))
+        del held, coords  # free this chunk's embeddings before the next is built
+    return records
 
 
 def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]:
@@ -268,6 +310,7 @@ def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]
 
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed)  # before the output directory is made
     config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups,
                          spatial_spread=args.spread, seed=args.seed)
 
@@ -291,14 +334,15 @@ def cmd_spectral(args) -> int:
     check_alpha(args.alpha)
     run_config = _run_config(args)
     out, individuals, social, labels, sigma = _load(args)
-    graph = build_weight_matrix(individuals, social, args.alpha, sigma)
-    record = _score_spectral(individuals, labels, run_config["seeds"], {"alpha": args.alpha},
-                             graph, args.k)
-    print(f"alpha={args.alpha}: purity {record['purity_mean']:.3f} "
-          f"± {record['purity_std']:.3f}, z-Rand {record['zrand_mean']:.1f} "
-          f"± {record['zrand_std']:.1f}")
+    [record] = _score_spectral(
+        individuals, labels, run_config["seeds"], args.k,
+        [({"alpha": args.alpha}, partial(build_weight_matrix, individuals, social, args.alpha,
+                                         sigma))])
     _write(out, args, {"alpha": args.alpha, "sigma": sigma, **run_config}, social, labels,
-           {"results": [record]})
+           {"results": [record]},
+           summary=[f"alpha={args.alpha}: purity {record['purity_mean']:.3f} "
+                    f"± {record['purity_std']:.3f}, z-Rand {record['zrand_mean']:.1f} "
+                    f"± {record['zrand_std']:.1f}"])
     return 0
 
 
@@ -306,16 +350,15 @@ def cmd_sweep_alpha(args) -> int:
     alphas = _alpha_list(args.alphas)
     run_config = _run_config(args)
     out, individuals, social, labels, sigma = _load(args)
-    # Each W is passed straight through, so it is freed before the next is built.
-    records = [_score_spectral(individuals, labels, run_config["seeds"], {"alpha": alpha},
-                               build_weight_matrix(individuals, social, alpha, sigma), args.k)
-               for alpha in alphas]
-    for rec in records:
-        print(f"alpha={rec['alpha']:4}: purity {rec['purity_mean']:.3f} "
-              f"± {rec['purity_std']:.3f}, z-Rand {rec['zrand_mean']:.1f}")
+    records = _score_spectral(
+        individuals, labels, run_config["seeds"], args.k,
+        [({"alpha": alpha}, partial(build_weight_matrix, individuals, social, alpha, sigma))
+         for alpha in alphas])
     _write(out, args, {"alphas": alphas, "sigma": sigma, **run_config}, social, labels,
            {"results": records},
-           [row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)])
+           [row for rec in records for row in _score_rows("alpha", rec["alpha"], rec)],
+           [f"alpha={rec['alpha']:4}: purity {rec['purity_mean']:.3f} "
+            f"± {rec['purity_std']:.3f}, z-Rand {rec['zrand_mean']:.1f}" for rec in records])
     return 0
 
 
@@ -323,6 +366,7 @@ def cmd_multislice(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     check_slice_params(gammas, args.omega)  # before the dataset load and W build
     check_alpha(args.alpha)
+    _check_seed(args.seed)
     out, individuals, social, labels, sigma = _load(args)
     transition = normalize(build_weight_matrix(individuals, social, args.alpha, sigma))
     stack = SliceStack([(transition, g) for g in gammas], omega=args.omega)
@@ -340,9 +384,6 @@ def cmd_multislice(args) -> int:
             "communities": community_summaries(individuals, labels, part.assignment),
         })
     plateaus = find_plateaus([rec["n_communities"] for rec in slices])
-    print(f"multislice Q={result.objective:.4f}, "
-          f"{result.n_communities} communities across {len(gammas)} slices")
-    print(f"plateaus: {plateaus}")
     config = {"alpha": args.alpha, "sigma": sigma, "gamma_grid": gammas,
               "omega": args.omega, "seeds": [args.seed]}
     body = {
@@ -356,7 +397,10 @@ def cmd_multislice(args) -> int:
     _write(out, args, config, social, labels, body,
            [{"param": "gamma", "value": rec["gamma"], "metric": metric,
              "mean": rec[metric], "std": 0.0}
-            for rec in slices for metric in ("n_communities", "purity", "z_rand")])
+            for rec in slices for metric in ("n_communities", "purity", "z_rand")],
+           [f"multislice Q={result.objective:.4f}, "
+            f"{result.n_communities} communities across {len(gammas)} slices",
+            f"plateaus: {plateaus}"])
     return 0
 
 
@@ -399,25 +443,25 @@ def cmd_gt_sweep(args) -> int:
     grid = [(alpha, GtParams(p=p, q=q, seed=args.seed + GT_SEED_STRIDE * (index + 1)))
             for index, (q, alpha, p) in enumerate(product(q_list, alphas, p_grid))]
     out, individuals, social, labels, sigma = _load(args)
-    records = []
-    for alpha, params in grid:
-        gt = gt_matrix(labels, params)
+
+    def gt_graph(alpha, params):
         # The geographic kernel stays fixed: sigma comes from the observed
         # contacts even though the social matrix is swapped for GT(p, q).
-        records.append(_score_spectral(individuals, labels, run_config["seeds"],
-                                       {"q": params.q, "alpha": alpha, "p": params.p,
-                                        "gt_seed": params.seed},
-                                       build_weight_matrix(individuals, gt, alpha, sigma), args.k))
+        return build_weight_matrix(individuals, gt_matrix(labels, params), alpha, sigma)
+
+    records = _score_spectral(
+        individuals, labels, run_config["seeds"], args.k,
+        [({"q": params.q, "alpha": alpha, "p": params.p, "gt_seed": params.seed},
+          partial(gt_graph, alpha, params)) for alpha, params in grid])
     equivalence_p = gt_equivalence_point(labels, social)
-    print(f"equivalence point p* = {equivalence_p:.4f}")
-    for rec in records:
-        print(f"q={rec['q']:4} alpha={rec['alpha']:4} p={rec['p']:4}: "
-              f"purity {rec['purity_mean']:.3f} ± {rec['purity_std']:.3f}")
     config = {"alphas": alphas, "p_grid": p_grid, "q_list": q_list, "sigma": sigma, **run_config}
     _write(out, args, config, social, labels,
            {"equivalence_p": equivalence_p, "results": records},
            [row for rec in records
-            for row in _score_rows(f"p[q={rec['q']},alpha={rec['alpha']}]", rec["p"], rec)])
+            for row in _score_rows(f"p[q={rec['q']},alpha={rec['alpha']}]", rec["p"], rec)],
+           [f"equivalence point p* = {equivalence_p:.4f}"]
+           + [f"q={rec['q']:4} alpha={rec['alpha']:4} p={rec['p']:4}: "
+              f"purity {rec['purity_mean']:.3f} ± {rec['purity_std']:.3f}" for rec in records])
     return 0
 
 
@@ -433,20 +477,21 @@ def cmd_baselines(args) -> int:
         graph = build_weight_matrix(individuals, social, alpha, sigma)
         columns.append(_score_runs(individuals, labels, seeds, {"alpha": alpha},
                                    kmeans_columns(graph, args.k, seeds), np.argmin))
-        spectral.append(_score_spectral(individuals, labels, seeds, {"alpha": alpha},
-                                        graph, args.k))
+        # Embedded only after kmeans_columns has dropped its n x n features.
+        spectral += _score_spectral(individuals, labels, seeds, args.k,
+                                    [({"alpha": alpha}, lambda: graph)])
         del graph  # free this n x n W before the next alpha builds its own
-    print(f"gmm: purity {gmm_record['purity_mean']:.3f}, "
-          f"z-Rand {gmm_record['zrand_mean']:.1f}")
-    for rec, spec in zip(columns, spectral):
-        print(f"alpha={rec['alpha']:4}: k-means-columns purity "
-              f"{rec['purity_mean']:.3f} (z {rec['zrand_mean']:.1f}) vs spectral "
-              f"{spec['purity_mean']:.3f} (z {spec['zrand_mean']:.1f})")
     body = {"gmm": gmm_record, "kmeans_columns": columns, "spectral": spectral}
     rows = [row for name in ("kmeans_columns", "spectral") for rec in body[name]
             for row in _score_rows("alpha", rec["alpha"], rec, f"/{name}")]
     _write(out, args, {"alphas": alphas, "sigma": sigma, **run_config}, social, labels, body,
-           rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"))
+           rows + _score_rows("alpha", -1.0, gmm_record, "/gmm"),
+           [f"gmm: purity {gmm_record['purity_mean']:.3f}, "
+            f"z-Rand {gmm_record['zrand_mean']:.1f}"]
+           + [f"alpha={rec['alpha']:4}: k-means-columns purity "
+              f"{rec['purity_mean']:.3f} (z {rec['zrand_mean']:.1f}) vs spectral "
+              f"{spec['purity_mean']:.3f} (z {spec['zrand_mean']:.1f})"
+              for rec, spec in zip(columns, spectral)])
     return 0
 
 

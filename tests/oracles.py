@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 from geocluster.baselines import COV_REG, EM_TOL, GmmFit
 from geocluster.spectral import kmeans_pp_init
-from geocluster.synth import ACTIVITY_SIGMA, HOTSPOT_STRENGTH
+from geocluster.graph import SocialMatrix
+from geocluster.synth import ACTIVITY_SIGMA, HOTSPOT_STRENGTH, InsufficientZeros, _round_half_up
 
 
 def naive_weight_matrix(points, contact_pairs, alpha, sigma):
@@ -413,6 +414,36 @@ def pairlist_sample_contacts(group_of, xy, n_edges_intra, n_edges_inter,
             chosen.append(picks)
     idx = np.concatenate(chosen) if chosen else np.zeros(0, dtype=int)
     return np.column_stack([pi[idx], pj[idx]])
+
+
+def string_mask_gt_matrix(labels, params):
+    """GT(p, q) with the intra-group pair mask taken on the label values
+    themselves, not on integer codes; the same draws as `synth.gt_matrix`."""
+    lab = np.asarray(labels)
+    n = lab.size
+    rng = np.random.default_rng(params.seed)
+    iu, ju = np.triu_indices(n, k=1)
+    intra_pos = np.flatnonzero(lab[iu] == lab[ju])
+
+    n_keep = _round_half_up(params.p * intra_pos.size)
+    kept = rng.choice(intra_pos, size=n_keep, replace=False)
+
+    n_flip = _round_half_up(params.q * kept.size)
+    if n_flip:
+        zero_mask = np.ones(iu.size, dtype=bool)
+        zero_mask[kept] = False
+        zero_pool = np.flatnonzero(zero_mask)
+        if n_flip > zero_pool.size:
+            raise InsufficientZeros(
+                f"need {n_flip} zero entries to flip, only {zero_pool.size} available"
+            )
+        out = rng.choice(kept, size=n_flip, replace=False)
+        into = rng.choice(zero_pool, size=n_flip, replace=False)
+        final = np.setdiff1d(kept, out, assume_unique=True)
+        final = np.concatenate([final, into])
+    else:
+        final = kept
+    return SocialMatrix.from_pairs(n, np.column_stack([iu[final], ju[final]]))
 
 
 def loop_fit_gmm(points, k, seed, max_iter=500):

@@ -1,14 +1,17 @@
+import contextlib
 import functools
+import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geocluster
-from geocluster import baselines
+from geocluster import baselines, cli
 from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
 from geocluster.errors import DataError
 from geocluster.io import load_results
@@ -57,6 +60,16 @@ class TestGenerate:
         code = main(["generate", "--spread", spread, "--seed", "1", "--out", str(out)])
         assert code == 3
         assert "spatial_spread" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys, monkeypatch):
+        def generate_dataset(*args, **kwargs):
+            pytest.fail("a dataset was generated")
+
+        monkeypatch.setattr("geocluster.cli.generate_dataset", generate_dataset)
+        out = tmp_path / "ds"
+        assert main(["generate", "--seed", "-1", "--out", str(out)]) == 3
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -116,6 +129,25 @@ class TestSpectralCommand:
         assert "at most 10000, got 10001" in capsys.readouterr().err
         assert main([*argv, "--runs", "10000"]) == 3
         assert "dataset load reached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral"], ["sweep-alpha"], ["baselines"],
+        ["gt-sweep", "--alphas", "0.8", "--p-grid", "0", "--q-list", "0"],
+        ["multislice", "--gamma-grid", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_before_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                             argv):
+        def load_dataset(*args, **kwargs):
+            raise DataError("dataset load reached")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        out = tmp_path / "r.json"
+        argv = [*argv, "--dataset", str(dataset_dir), "--out", str(out)]
+        assert main([*argv, "--seed", "-5"]) == 3
+        assert "--seed must be at least 0, got -5" in capsys.readouterr().err
+        assert main([*argv, "--seed", "0"]) == 3
+        assert "dataset load reached" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,flag", [
         ("sweep-alpha", "--alphas"), ("baselines", "--alphas"), ("gt-sweep", "--alphas"),
@@ -245,6 +277,90 @@ class TestSweepAlpha:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "param,value,metric,mean,std"
         assert len(lines) == 1 + 3 * 2  # two metrics per alpha
+
+
+class TestSpectralGrid:
+    """The grid commands embed a chunk of grid points, then run k-means on
+    the held coordinates; the chunk size must not change a report byte."""
+
+    GRIDS = {
+        "sweep-alpha": ["--alphas", "0,0.2,0.4,0.6,0.8,1.0"],  # 6 points
+        "gt-sweep": ["--alphas", "0.4,0.8", "--p-grid", "0,0.5,1", "--q-list", "0,0.3"],  # 12
+    }
+
+    def _run(self, monkeypatch, dataset_dir, out, command, chunk):
+        """The report and CSV bytes of `command` with the chunk bound set to
+        `chunk` points (None: the default), and the most W and embedding
+        coordinate arrays that were alive at once."""
+        live = {"W": 0, "coords": 0}
+        most = dict(live)
+
+        def release(kind):
+            live[kind] -= 1
+
+        def hold(kind, array):
+            live[kind] += 1
+            most[kind] = max(most[kind], live[kind])
+            weakref.finalize(array, release, kind)
+
+        def build_weight_matrix(*args):
+            graph = real_build(*args)
+            hold("W", graph.W)
+            return graph
+
+        def embed(graph, k):
+            emb = real_embed(graph, k)
+            hold("coords", emb.coords)
+            return emb
+
+        real_build, real_embed = cli.build_weight_matrix, cli.embed
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_weight_matrix", build_weight_matrix)
+            patch.setattr(cli, "embed", embed)
+            if chunk is not None:
+                patch.setattr(cli, "_grid_chunk", lambda n, k: chunk)
+            assert main([command, "--dataset", str(dataset_dir), *self.GRIDS[command],
+                         "--k", "6", "--runs", "3", "--seed", "4", "--out", str(out)]) == 0
+        return out.read_bytes(), out.with_suffix(".csv").read_bytes(), most
+
+    @pytest.mark.parametrize("command", sorted(GRIDS))
+    def test_chunk_bound_changes_no_byte(self, dataset_dir, tmp_path, monkeypatch, command):
+        points = 6 if command == "sweep-alpha" else 12
+        bound = cli._grid_chunk(120, 6)
+        assert bound == 10
+        runs = {chunk: self._run(monkeypatch, dataset_dir, tmp_path / f"r{chunk}.json",
+                                 command, chunk)
+                for chunk in (1, cli.MAX_GRID_POINTS, None)}
+        assert runs[1][:2] == runs[cli.MAX_GRID_POINTS][:2] == runs[None][:2]
+        assert runs[1][2] == {"W": 1, "coords": 1}
+        assert runs[cli.MAX_GRID_POINTS][2] == {"W": 1, "coords": points}
+        assert runs[None][2] == {"W": 1, "coords": min(points, bound)}
+
+
+class TestClosedStdout:
+    def test_broken_pipe_keeps_report_and_exits_0(self, dataset_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        argv = ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.4,0.8",
+                "--k", "6", "--runs", "2"]
+        assert main([*argv, "--out", str(tmp_path / "want.json")]) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # Unbuffered, as under PYTHONUNBUFFERED=1: the first print meets the
+        # closed pipe.
+        closed = io.TextIOWrapper(io.FileIO(write_end, "w"), write_through=True)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", closed)
+                code = main([*argv, "--out", str(tmp_path / "got.json")])
+        finally:
+            with contextlib.suppress(BrokenPipeError):  # text still pending for the pipe
+                closed.close()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for suffix in (".json", ".csv"):
+            got = (tmp_path / "got").with_suffix(suffix).read_bytes()
+            assert got == (tmp_path / "want").with_suffix(suffix).read_bytes()
 
 
 class TestMultislice:

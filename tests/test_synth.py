@@ -28,7 +28,7 @@ from geocluster.synth import (
     _sample_contacts,
 )
 
-from oracles import pairlist_sample_contacts
+from oracles import pairlist_sample_contacts, string_mask_gt_matrix
 
 
 # The first datasets of the byte-check manifest that
@@ -113,6 +113,22 @@ class TestGtMatrix:
         a = gt_matrix(labels, GtParams(p=0.5, q=0.2, seed=9))
         b = gt_matrix(labels, GtParams(p=0.5, q=0.2, seed=9))
         assert a.pairs == b.pairs
+
+    @given(labels=st.lists(st.sampled_from(["", "a", "b", "B", "ab", "ba", "é", "g10", "g9"]),
+                           max_size=40),
+           p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_string_mask_oracle(self, labels, p, q, seed):
+        params = GtParams(p=p, q=q, seed=seed)
+        try:
+            want = string_mask_gt_matrix(labels, params)
+        except InsufficientZeros as exc:
+            with pytest.raises(InsufficientZeros, match=str(exc)):
+                gt_matrix(labels, params)
+            return
+        got = gt_matrix(labels, params)
+        assert got.n == want.n
+        assert np.array_equal(got.ij, want.ij)
 
 
 class TestEquivalencePoint:
