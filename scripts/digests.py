@@ -77,8 +77,7 @@ def workload_datasets() -> dict[SynthConfig, str]:
         for seed in workload.dataset_seeds(DEFAULT_SEED):
             args = parser.parse_args(["generate", *workload.generate, "--seed", str(seed),
                                       "--out", "-"])
-            config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups,
-                                 spatial_spread=args.spread, seed=args.seed)
+            config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups, seed=args.seed)
             datasets[config] = f"data/{workload.dataset_name(seed)}"
     return datasets
 

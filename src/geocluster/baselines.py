@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import GeoSocialGraph, Individual, locations, strengths
-from .spectral import Partition, kmeans, kmeans_pp_init
+from .spectral import InvalidK, Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
 EM_TOL = 1e-3  # per point
@@ -72,7 +72,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside [1, {n}]")
+        raise InvalidK(f"k={k} outside [1, {n}]")
     reg = COV_REG * max(float(points.var(axis=0).mean()), 1e-300)
 
     means = kmeans_pp_init(points, k, np.random.default_rng(seed))

@@ -9,7 +9,9 @@ its k-means runs (see `_score_spectral`); the linear algebra already keeps
 every core busy through BLAS. Every command writes its files before it
 prints anything, so a closed stdout (`| head`) cannot lose a report.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error (bad input or an
+unusable path), 4 numerical failure. Any other exception is a bug and ends
+in a traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .baselines import gmm_cluster, kmeans_columns
 from .errors import DataError, NumericalError
 from .graph import build_weight_matrix, check_alpha, compute_sigma, locations, normalize
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
-from .metrics import contingency_table, diagnostics, purity, z_rand
+from .metrics import DegenerateCounts, contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, check_slice_params, multislice_louvain
 from .spectral import embed, kmeans
 from .synth import GtParams, SynthConfig, generate_dataset, gt_equivalence_point, gt_matrix
@@ -50,7 +52,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (FileNotFoundError, DataError, ValueError) as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
@@ -69,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="hollenbeck", choices=["hollenbeck"])
     p.add_argument("--n-members", type=int, default=SynthConfig.n_members)
     p.add_argument("--n-groups", type=int, default=SynthConfig.n_groups)
-    p.add_argument("--spread", type=float, default=SynthConfig.spatial_spread,
-                   help="territory spatial spread (m)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for the CSV pair")
     p.set_defaults(func=cmd_generate)
@@ -166,7 +166,7 @@ def _alpha_list(text: str) -> list[float]:
 def _load(args):
     """Inputs of a scoring command: the report path (checked before the
     dataset is read), the fully labeled dataset, its labels and sigma."""
-    out = _out_path(args.out)
+    out = _out_path(args.out, directory=False)
     individuals, social = load_dataset(DatasetFiles.in_dir(args.dataset))
     missing = [p.id for p in individuals if p.gang is None]
     if missing:
@@ -178,10 +178,15 @@ def _load(args):
     return out, individuals, social, labels, compute_sigma(individuals, social)
 
 
-def _out_path(raw: str) -> Path:
+def _out_path(raw: str, directory: bool) -> Path:
+    """The `--out` path, checked before any work: its parent must exist,
+    and the path itself, if it exists, must be a directory exactly when
+    `directory` is set."""
     path = Path(raw)
     if not path.parent.exists():
         raise DataError(f"output directory {path.parent} does not exist")
+    if path.exists() and path.is_dir() != directory:
+        raise DataError(f"--out {path} exists and is {'not ' if directory else ''}a directory")
     return path
 
 
@@ -240,6 +245,16 @@ def community_summaries(individuals, labels, assignment) -> list[dict]:
     return out
 
 
+def _z_rand(labels, part, **point) -> float:
+    """z_rand of `part`; an undefined z-Rand names the grid point, given as
+    the keywords `point` (the record's keys and values)."""
+    try:
+        return z_rand(labels, part)
+    except DegenerateCounts as exc:
+        where = ", ".join(f"{key}={value}" for key, value in point.items())
+        raise DegenerateCounts(f"at {where}, {exc}") from None
+
+
 def _score_runs(individuals, labels, seeds, lead: dict, parts, pick) -> dict:
     """Record of one grid point: `lead`, then purity and z-Rand of each
     seed's partition in `parts` with their mean/std (population std, so a
@@ -251,7 +266,7 @@ def _score_runs(individuals, labels, seeds, lead: dict, parts, pick) -> dict:
         runs.append({
             "seed": int(seed),
             "purity": purity(labels, part),
-            "z_rand": z_rand(labels, part),
+            "z_rand": _z_rand(labels, part, **lead, seed=seed),
             "objective": part.objective,
             "n_communities": part.k,
             "degenerate": part.degenerate,
@@ -310,17 +325,14 @@ def _score_rows(param: str, value, record: dict, suffix: str = "") -> list[dict]
 
 
 def cmd_generate(args) -> int:
-    _check_seed(args.seed)  # before the output directory is made
-    config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups,
-                         spatial_spread=args.spread, seed=args.seed)
-
-    out_dir = _out_path(args.out)
-    out_dir.mkdir(exist_ok=True)
-
+    _check_seed(args.seed)
+    config = SynthConfig(n_members=args.n_members, n_groups=args.n_groups, seed=args.seed)
+    out_dir = _out_path(args.out, directory=True)
     try:
         individuals, social = generate_dataset(config)
     except NumericalError as exc:
         raise type(exc)(f"{exc}; config: {config}") from exc
+    out_dir.mkdir(exist_ok=True)  # only once there is a dataset to write
     save_dataset(individuals, social, DatasetFiles.in_dir(out_dir))
     labels = [p.gang for p in individuals]
     report = diagnostics(social, labels)
@@ -380,7 +392,7 @@ def cmd_multislice(args) -> int:
             "gamma": gamma,
             "n_communities": part.k,
             "purity": purity(labels, part),
-            "z_rand": z_rand(labels, part),
+            "z_rand": _z_rand(labels, part, gamma=gamma),
             "communities": community_summaries(individuals, labels, part.assignment),
         })
     plateaus = find_plateaus([rec["n_communities"] for rec in slices])

@@ -96,8 +96,13 @@ def z_rand(labels, partition) -> float:
     mean_w = m1 * m2 / m
     var_w = mean_w * (1.0 - m1 / m) * (m - m2) / (m - 1)
     if var_w <= 0.0:
+        trivial = ("no two individuals share a community" if m1 == 0
+                   else "all individuals share one community" if m1 == m
+                   else "no two individuals share a label" if m2 == 0
+                   else "all individuals share one label")
         raise DegenerateCounts(
-            f"w has zero variance under the null (M={m}, M1={m1}, M2={m2})"
+            f"z-Rand is undefined: {trivial} ({m1} of {m} pairs share a community, "
+            f"{m2} share a label)"
         )
     return (w - mean_w) / math.sqrt(var_w)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .graph import GeoSocialGraph, normalize
 
 KMEANS_MAX_ITER = 300
@@ -31,6 +31,11 @@ KMEANS_MAX_ITER = 300
 
 class ConvergenceFailure(NumericalError):
     pass
+
+
+class InvalidK(DataError, ValueError):
+    """A cluster or embedding count outside [1, n]. It is also a ValueError,
+    so callers that catch ValueError for a bad k keep working."""
 
 
 @dataclass(eq=False)
@@ -103,7 +108,7 @@ def embed(graph: GeoSocialGraph, k: int) -> Embedding:
     """Leading k eigenpairs of D^-1 W via the symmetric transform."""
     n = graph.n
     if not (1 <= k <= n):
-        raise ValueError(f"embedding dimension k={k} outside [1, {n}]")
+        raise InvalidK(f"embedding dimension k={k} outside [1, {n}]")
     normalize(graph)  # strength validation only
     root = np.sqrt(graph.d)
     vals, vecs = _scaled_eigh(graph.W, root, subset_by_index=[n - k, n - 1])
@@ -221,7 +226,7 @@ def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (1 <= k_clusters <= n):
-        raise ValueError(f"k_clusters={k_clusters} outside [1, {n}]")
+        raise InvalidK(f"k_clusters={k_clusters} outside [1, {n}]")
     if k_clusters > 1 and np.all(points == points[0]):
         return Partition(np.zeros(n, dtype=int), objective=0.0, degenerate=True)
     rng = np.random.default_rng(seed)

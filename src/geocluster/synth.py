@@ -13,9 +13,10 @@ hold within 0.1, 0.02 and 0.05. The member count fixes the contact counts
 and so the first two; they, and whether the group sizes leave enough pairs
 for those contacts, are checked once before the first draw. An internal
 tuning loop then retunes the quiet-member share until a draw's isolate
-fraction is on target. SynthConfig sets only the member and group counts,
-the spatial spread and the seed; every other model parameter is a module
-constant.
+fraction is on target. SynthConfig sets only the member and group counts
+and the seed; every other model parameter is a module constant. Every length
+drawn is a multiple of SPATIAL_SPREAD, so it only sets the coordinates' unit:
+the method derives its length scale sigma from the data.
 
 GT(p, q) starts from the full intra-group pair matrix, keeps a fraction p
 of the upper-triangular intra pairs uniformly at random, then swaps a
@@ -36,6 +37,7 @@ from .graph import Individual, SocialMatrix
 from .metrics import diagnostics, intra_contact_count
 
 # Model constants of the calibrated generator.
+SPATIAL_SPREAD = 250.0  # nominal territory spread, in metres
 SIZE_CONCENTRATION = 20.0  # Dirichlet concentration of the group-size noise
 MIN_GROUP_SIZE = 4
 SPREAD_DISPERSION = 0.25  # territory spread varies in spread * [1 - d, 1 + d]
@@ -138,7 +140,6 @@ class SynthConfig:
 
     n_members: int = 748
     n_groups: int = 31
-    spatial_spread: float = 250.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -147,10 +148,6 @@ class SynthConfig:
         if self.n_groups * MIN_GROUP_SIZE > self.n_members:
             raise DataError(
                 f"n_groups * {MIN_GROUP_SIZE} (the minimum group size) exceeds n_members"
-            )
-        if not (math.isfinite(self.spatial_spread) and self.spatial_spread > 0):
-            raise DataError(
-                f"spatial_spread must be finite and positive, got {self.spatial_spread}"
             )
 
 
@@ -179,7 +176,7 @@ def _grid_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     spatial spreads, giving partially overlapping territories."""
     k = config.n_groups
     side = math.ceil(math.sqrt(k))
-    pitch = 3.0 * config.spatial_spread
+    pitch = 3.0 * SPATIAL_SPREAD
     gx, gy = np.meshgrid(np.arange(side), np.arange(side))
     cells = np.column_stack([gx.ravel(), gy.ravel()]).astype(float) * pitch
     order = rng.permutation(cells.shape[0])[:k]
@@ -307,7 +304,7 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     spread_factor = rng.uniform(
         1.0 - SPREAD_DISPERSION, 1.0 + SPREAD_DISPERSION, size=config.n_groups,
     )
-    spread = config.spatial_spread * spread_factor
+    spread = SPATIAL_SPREAD * spread_factor
     ratio = rng.uniform(1.0, ANISOTROPY, size=config.n_groups)
     theta = rng.uniform(0.0, np.pi, size=config.n_groups)
     sizes = _group_sizes(config, spread_factor, rng)
@@ -348,8 +345,8 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     ]
 
     quiet = TARGET_ISOLATE_FRACTION
-    intra_length = INTRA_CONTACT_SCALE * config.spatial_spread
-    inter_length = INTER_CONTACT_SCALE * config.spatial_spread
+    intra_length = INTRA_CONTACT_SCALE * SPATIAL_SPREAD
+    inter_length = INTER_CONTACT_SCALE * SPATIAL_SPREAD
     contested = _contested_score(xy, group_of, centers, spread)
     for _ in range(CALIBRATION_MAX_ITER):
         pairs = _sample_contacts(

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import functools
 import io
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -17,7 +19,7 @@ from geocluster.errors import DataError
 from geocluster.io import load_results
 from geocluster.modularity import louvain
 from geocluster.graph import Individual, build_weight_matrix, compute_sigma, normalize
-from geocluster.io import DatasetFiles, load_dataset
+from geocluster.io import DatasetFiles, load_dataset, save_dataset
 
 from oracles import naive_community_summaries
 
@@ -54,14 +56,6 @@ class TestGenerate:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spread", ["nan", "inf"])
-    def test_non_finite_spread_fails_before_output(self, spread, tmp_path, capsys):
-        out = tmp_path / "ds"
-        code = main(["generate", "--spread", spread, "--seed", "1", "--out", str(out)])
-        assert code == 3
-        assert "spatial_spread" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_negative_seed_fails_before_output(self, tmp_path, capsys, monkeypatch):
         def generate_dataset(*args, **kwargs):
             pytest.fail("a dataset was generated")
@@ -71,6 +65,17 @@ class TestGenerate:
         assert main(["generate", "--seed", "-1", "--out", str(out)]) == 3
         assert "--seed must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        def generate_dataset(*args, **kwargs):
+            pytest.fail("a dataset was generated")
+
+        monkeypatch.setattr("geocluster.cli.generate_dataset", generate_dataset)
+        out = tmp_path / "ds"
+        out.write_bytes(b"keep")
+        assert main(["generate", "--seed", "1", "--out", str(out)]) == 3
+        assert f"--out {out} exists and is not a directory" in capsys.readouterr().err
+        assert out.read_bytes() == b"keep"
 
 
 class TestSpectralCommand:
@@ -251,6 +256,65 @@ class TestSpectralCommand:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert "individuals.csv:122: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "multislice", "gt-sweep",
+                                         "baselines"])
+    def test_out_that_is_a_directory_fails_before_load(self, dataset_dir, tmp_path, capsys,
+                                                       monkeypatch, command):
+        def load_dataset(*args, **kwargs):
+            pytest.fail("dataset loaded before the --out check")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        out = tmp_path / "r.json"
+        out.mkdir()
+        assert main([command, "--dataset", str(dataset_dir), "--out", str(out)]) == 3
+        assert f"--out {out} exists and is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unreadable_dataset_path_exits_with_data_error(self, dataset_dir, tmp_path, capsys):
+        files = DatasetFiles.in_dir(tmp_path / "ds")
+        files.individuals_csv.mkdir(parents=True)  # an OSError, not a missing file
+        files.contacts_csv.write_bytes(DatasetFiles.in_dir(dataset_dir).contacts_csv.read_bytes())
+        out = tmp_path / "r.json"
+        assert main(["spectral", "--dataset", str(files.individuals_csv.parent), "--k", "6",
+                     "--runs", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "individuals.csv" in err
+        assert not out.exists()
+
+    def test_k_above_n_is_a_data_error(self, hollenbeck, tmp_path, capsys):
+        individuals, social, _ = hollenbeck
+        save_dataset(individuals, social, DatasetFiles.in_dir(tmp_path))
+        out = tmp_path / "r.json"
+        assert main(["spectral", "--dataset", str(tmp_path), "--k", "1000", "--runs", "1",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: embedding dimension k=1000 outside [1, 748]\n"
+        assert not out.exists()
+
+    def test_unexpected_value_error_is_not_a_data_error(self, dataset_dir, tmp_path,
+                                                         monkeypatch):
+        # A ValueError the package does not raise on purpose is a bug: it
+        # must end in a traceback, not in "error: ..." and exit 3.
+        def kmeans(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("geocluster.cli.kmeans", kmeans)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["spectral", "--dataset", str(dataset_dir), "--k", "6", "--runs", "1",
+                  "--out", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize("argv,point", [
+        (["multislice", "--gamma-grid", "1e6"], "gamma=1000000.0"),
+        (["spectral", "--k", "120", "--runs", "1", "--seed", "3"], "alpha=0.4, seed=3"),
+    ], ids=["multislice_gamma", "spectral_k_equals_n"])
+    def test_undefined_z_rand_names_the_grid_point(self, dataset_dir, tmp_path, capsys, argv,
+                                                   point):
+        # Every one of the 120 individuals ends in a community of its own.
+        out = tmp_path / "r.json"
+        assert main([*argv, "--dataset", str(dataset_dir), "--out", str(out)]) == 3
+        assert (f"error: at {point}, z-Rand is undefined: no two individuals share a community"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"
@@ -602,9 +666,10 @@ class TestNumericalFailureExit:
             pytest.fail("a contact draw was made")
 
         monkeypatch.setattr("geocluster.synth._sample_contacts", no_draw)
+        out = tmp_path / "ds"
         code = main([
             "generate", "--n-members", "20", "--n-groups", "2",
-            "--seed", "0", "--out", str(tmp_path / "ds"),
+            "--seed", "0", "--out", str(out),
         ])
         # 20 members get 13 contacts, 12 of them intra-group: every draw's
         # intra fraction would be 12/13 = 0.9231, outside 0.887 +- 0.02, so
@@ -615,6 +680,7 @@ class TestNumericalFailureExit:
         assert "every draw would have" in err
         assert "mean degree 1.3000 (target 1.2754" in err
         assert "intra fraction 0.9231 (target 0.887" in err
+        assert not out.exists()  # the directory is made only for a dataset
 
 
 class TestHelpers:
@@ -670,3 +736,27 @@ class TestHelpers:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+
+class TestReadme:
+    """README's CLI section and the argument parser describe the same CLI."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    SCRIPT_FLAGS = {"--check", "--write"}  # scripts/digests.py's own options
+
+    def test_every_cli_line_parses(self):
+        block = self.TEXT.split("\n## CLI\n", 1)[1].split("```")[1]
+        lines = [line.split()[1:] for line in block.splitlines()
+                 if line.startswith("geocluster ")]
+        assert len(lines) == 6
+        parser = cli.build_parser()
+        for argv in lines:
+            parser.parse_args(argv)
+
+    def test_readme_and_parser_name_the_same_flags(self):
+        [sub] = [action for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        flags = {flag for command in sub.choices.values() for action in command._actions
+                 for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", self.TEXT)) - self.SCRIPT_FLAGS
+        assert named == flags

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 import tracemalloc
 from pathlib import Path
 
@@ -204,13 +203,10 @@ class TestGenerateDataset:
             SynthConfig(n_members=0)
         with pytest.raises(DataError):
             SynthConfig(n_members=10, n_groups=5)
-        for spread in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DataError, match="spatial_spread"):
-                SynthConfig(spatial_spread=spread)
 
-    def test_config_has_only_the_four_settable_fields(self):
+    def test_config_has_only_the_three_settable_fields(self):
         names = [f.name for f in dataclasses.fields(SynthConfig)]
-        assert names == ["n_members", "n_groups", "spatial_spread", "seed"]
+        assert names == ["n_members", "n_groups", "seed"]
 
     # Pinned digests of the CSV pair: a change to any draw of the generator
     # or to the CSV format shows here.
