@@ -21,11 +21,13 @@ E-step, batched M-step matmuls and eigenvalue floor); only the iteration loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import DataError
 from .graph import GeoSocialGraph, Individual, locations, strengths
 from .spectral import InvalidK, Partition, kmeans, kmeans_pp_init
 
@@ -65,6 +67,9 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     so co-located points never collapse a component; away from degeneracy
     the M-step is exact and the log-likelihood is nondecreasing.
 
+    Raises DataError when the squared variance of the points overflows
+    float64, before any draw.
+
     Stops when an E-step's log-likelihood exceeds the previous one by less
     than EM_TOL per point, (L_t - L_{t-1}) / n < EM_TOL, or after `max_iter`
     E-steps; `cap_hit` is set only in the second case.
@@ -73,7 +78,14 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     n = points.shape[0]
     if not (1 <= k <= n):
         raise InvalidK(f"k={k} outside [1, {n}]")
-    reg = COV_REG * max(float(points.var(axis=0).mean()), 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(points.var(axis=0).mean())
+    if not math.isfinite(variance * variance):
+        # A component's 2x2 covariance determinant is of the order of the
+        # squared variance; past float64 it overflows and EM collapses.
+        raise DataError(f"location variance {variance:.3g} m^2 is too large for the "
+                        "mixture: its square overflows float64")
+    reg = COV_REG * max(variance, 1e-300)
 
     means = kmeans_pp_init(points, k, np.random.default_rng(seed))
     d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)

@@ -43,6 +43,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_no_nul(args)
         return args.func(args)
     except BrokenPipeError:
         # stdout's reader has gone; the command's files are already written.
@@ -163,10 +164,23 @@ def _alpha_list(text: str) -> list[float]:
     return alphas
 
 
-def _load(args):
-    """Inputs of a scoring command: the report path (checked before the
-    dataset is read), the fully labeled dataset, its labels and sigma."""
+def _check_no_nul(args) -> None:
+    """No flag value may hold a NUL byte: no path can, and the OS calls
+    would raise ValueError, not OSError."""
+    for key, value in vars(args).items():
+        if isinstance(value, str) and "\0" in value:
+            raise DataError(f"--{key.replace('_', '-')} {_clip(value)} holds a NUL byte")
+
+
+def _load(args, plot_csv: bool = True):
+    """Inputs of a scoring command: the report path (checked, and so is the
+    path of its plot CSV when `plot_csv` is set, before the dataset is
+    read), the fully labeled dataset, its labels and sigma."""
     out = _out_path(args.out, directory=False)
+    if plot_csv:
+        if out.suffix == ".csv":
+            raise DataError(f"--out {out} ends in .csv, the name of its plot CSV")
+        _out_path(out.with_suffix(".csv"), directory=False, name="plot CSV")
     individuals, social = load_dataset(DatasetFiles.in_dir(args.dataset))
     missing = [p.id for p in individuals if p.gang is None]
     if missing:
@@ -178,15 +192,15 @@ def _load(args):
     return out, individuals, social, labels, compute_sigma(individuals, social)
 
 
-def _out_path(raw: str, directory: bool) -> Path:
-    """The `--out` path, checked before any work: its parent must exist,
-    and the path itself, if it exists, must be a directory exactly when
-    `directory` is set."""
+def _out_path(raw: str | Path, directory: bool, name: str = "--out") -> Path:
+    """An output path (`name` in messages), checked before any work: its
+    parent must exist, and the path itself, if it exists, must be a
+    directory exactly when `directory` is set."""
     path = Path(raw)
     if not path.parent.exists():
         raise DataError(f"output directory {path.parent} does not exist")
     if path.exists() and path.is_dir() != directory:
-        raise DataError(f"--out {path} exists and is {'not ' if directory else ''}a directory")
+        raise DataError(f"{name} {path} exists and is {'not ' if directory else ''}a directory")
     return path
 
 
@@ -345,7 +359,7 @@ def cmd_generate(args) -> int:
 def cmd_spectral(args) -> int:
     check_alpha(args.alpha)
     run_config = _run_config(args)
-    out, individuals, social, labels, sigma = _load(args)
+    out, individuals, social, labels, sigma = _load(args, plot_csv=False)
     [record] = _score_spectral(
         individuals, labels, run_config["seeds"], args.k,
         [({"alpha": args.alpha}, partial(build_weight_matrix, individuals, social, args.alpha,
@@ -381,7 +395,7 @@ def cmd_multislice(args) -> int:
     _check_seed(args.seed)
     out, individuals, social, labels, sigma = _load(args)
     transition = normalize(build_weight_matrix(individuals, social, args.alpha, sigma))
-    stack = SliceStack([(transition, g) for g in gammas], omega=args.omega)
+    stack = SliceStack(transition, gammas, omega=args.omega)
     del transition  # the stack's symmetrized copy is the one Louvain reads
     result = multislice_louvain(stack, args.seed)
 

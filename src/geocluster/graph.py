@@ -146,10 +146,13 @@ def contact_distances(individuals: Sequence[Individual], social: SocialMatrix) -
 def compute_sigma(individuals: Sequence[Individual], social: SocialMatrix) -> float:
     """Geographic length scale: mean contact-pair distance plus one standard
     deviation (population convention, divide by the pair count)."""
-    dist = contact_distances(individuals, social)
-    if dist.size == 0:
-        raise NoContacts("cannot derive a length scale without contact pairs")
-    sigma = float(dist.mean() + dist.std())
+    # Coordinates near the float64 limit overflow here; the non-finite sigma
+    # that results is rejected where it is used.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = contact_distances(individuals, social)
+        if dist.size == 0:
+            raise NoContacts("cannot derive a length scale without contact pairs")
+        sigma = float(dist.mean() + dist.std())
     if sigma == 0.0:
         raise ZeroScale("all contact pairs are co-located; length scale undefined")
     return sigma

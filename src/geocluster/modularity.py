@@ -11,14 +11,15 @@ weight omega; quality is then evaluated against the per-slice null model
 plus the coupling term, normalized by
 2*mu = sum_s sum(d_s) + 2 * omega * n * (#adjacent slice pairs).
 
-`SliceStack` owns the slice model and its one rule: the move gain assumes
-symmetric weights, so every slice A is read as (A + A^T) / 2, which keeps a
-symmetric A bit for bit. It symmetrizes and row-sums each distinct slice
-array once (the CLI's slices all share one), and records which array each
-slice reads, the strengths d of each and each slice's 2m. For an asymmetric
-A, Q is thus not the quality of A itself: d holds the symmetrized row sums.
-The single-slice `louvain` and `modularity_score` run A as a one-slice
-stack at omega = 0.
+`SliceStack` owns the slice model: one adjacency A read at an increasing
+ladder of resolutions gamma, one slice per gamma, which is the only stack
+the method builds (the paper's multiscale case). The move gain assumes
+symmetric weights, so A is read as (A + A^T) / 2, which keeps a symmetric A
+bit for bit. The stack symmetrizes and row-sums A once and keeps only that
+copy, its strengths d and their sum 2m. For an asymmetric A, Q is thus not
+the quality of A itself: d holds the symmetrized row sums. The
+single-slice `louvain` and `modularity_score` run A as a one-slice stack at
+omega = 0.
 
 Louvain never forms the supra-matrix B (B = A - gamma * d d^T / sum(d) per
 slice, plus omega couplings). It alternates greedy moves in seeded random
@@ -27,14 +28,14 @@ move's quality link from the slices themselves: a supervertex's rows of A,
 the strengths d (through a community x slice strength table once vertices
 are aggregated), and the copies of its members in the adjacent slices.
 Aggregation only records which supervertex each (vertex, slice) belongs
-to, so memory is the slices plus O(n_slices * (n + K)) at a level of K
-supervertices.
+to, so memory is the one n x n array plus O(n_slices * (n + K)) at a level
+of K supervertices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,65 +53,45 @@ class DimensionMismatch(DataError):
     pass
 
 
-@dataclass(eq=False)
 class SliceStack:
-    """Ordered (adjacency, gamma) slices over one vertex set, plus the
-    interslice coupling omega (nearest neighbors in gamma order). Slices
-    may share one array object. Slice s reads a[which[s]], its array A
-    symmetrized once as (A + A^T) / 2, with strengths d[which[s]] and sum twom[s]."""
+    """One adjacency over n vertices, read at each of the strictly
+    increasing resolutions `gammas` (one slice per gamma), plus the
+    interslice coupling omega (nearest neighbors in gamma order). Every
+    slice reads `a`, the adjacency symmetrized once as (A + A^T) / 2, with
+    strengths `d` and their sum `twom`; the stack keeps no reference to the
+    caller's array."""
 
-    slices: list[tuple[np.ndarray, float]]
-    omega: float
-    which: np.ndarray = field(init=False)
-    d: np.ndarray = field(init=False)
-    twom: np.ndarray = field(init=False)
-    a: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.slices:
+    def __init__(self, adjacency, gammas, omega: float) -> None:
+        self.gammas = [float(g) for g in gammas]
+        if not self.gammas:
             raise DataError("slice stack is empty")
-        self.slices = [(a, float(g)) for a, g in self.slices]
-        check_slice_params(self.gammas, self.omega)
-        # Convert and check each distinct object once; shared ones stay shared.
-        index: dict[int, int] = {}
-        arrays, first = [], []
-        for s, (a, _) in enumerate(self.slices):
-            if id(a) in index:
-                continue
-            index[id(a)] = len(arrays)
-            a = np.asarray(a, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1] or (arrays and a.shape != arrays[0].shape):
-                raise DataError("all slices must share the same square shape")
-            arrays.append(a)
-            first.append(s)
-        self.which = np.array([index[id(a)] for a, _ in self.slices])
-        self.a = np.empty((len(arrays), *arrays[0].shape))
-        strengths = []
-        for sym, a, s in zip(self.a, arrays, first):
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add(a, a.T, out=sym)
-            sym *= 0.5  # the same bits as 0.5 * (a + a.T)
-            if not np.isfinite(sym).all():
-                raise DataError(f"slice {s} has a non-finite weight")
-            strengths.append(sym.sum(axis=1))
-            if float(strengths[-1].sum()) == 0.0:
-                raise EmptyGraph(f"slice {s} has zero total strength")
-        self.d = np.array(strengths)
-        self.twom = self.d.sum(axis=1)[self.which]
-        views = list(self.a)  # so the stack holds each array once
-        self.slices = [(views[w], g) for w, (_, g) in zip(self.which, self.slices)]
+        check_slice_params(self.gammas, omega)
+        self.omega = omega
+        adjacency = np.asarray(adjacency, dtype=float)
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise DataError("the adjacency must be a square matrix")
+        self.a = np.empty(adjacency.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(adjacency, adjacency.T, out=self.a)
+        self.a *= 0.5  # the same bits as 0.5 * (a + a.T)
+        if not np.isfinite(self.a).all():
+            raise DataError("the adjacency has a non-finite weight")
+        self.d = self.a.sum(axis=1)
+        self.twom = float(self.d.sum())
+        if self.twom == 0.0:
+            raise EmptyGraph("the adjacency has zero total strength")
+        # Every sum of couplings (a link, a quality term) is at most their total.
+        if not math.isfinite(2.0 * omega * self.n * (self.n_slices - 1)):
+            raise DataError(f"interslice coupling omega={omega} is too large: the total "
+                            "coupling 2 * omega * n * (slices - 1) overflows float64")
 
     @property
     def n(self) -> int:
-        return self.slices[0][0].shape[0]
+        return self.a.shape[0]
 
     @property
     def n_slices(self) -> int:
-        return len(self.slices)
-
-    @property
-    def gammas(self) -> list[float]:
-        return [g for _, g in self.slices]
+        return len(self.gammas)
 
 
 @dataclass(eq=False)
@@ -179,9 +160,7 @@ class _Vertices:
 
     def __init__(self, stack: SliceStack, labels: np.ndarray) -> None:
         self.n, self.n_slices, self.omega = stack.n, stack.n_slices, stack.omega
-        self.a = [a for a, _ in stack.slices]
-        self.d = [stack.d[w] for w in stack.which]
-        self.gamma, self.twom = stack.gammas, stack.twom.tolist()
+        self.a, self.d, self.twom, self.gamma = stack.a, stack.d, stack.twom, stack.gammas
         self.comm = labels.copy()
         self.bins = np.zeros(self.n + 2, dtype=int)
         self.weights = np.zeros(self.n + 2)
@@ -191,11 +170,10 @@ class _Vertices:
     def take_out(self, x: int) -> np.ndarray:
         n, comm, bins, weights, null = self.n, self.comm, self.bins, self.weights, self.null
         s, v = divmod(x, n)
-        d = self.d[s]
-        np.multiply(d, d[v], out=null)
+        np.multiply(self.d, self.d[v], out=null)
         null *= self.gamma[s]
-        null /= self.twom[s]
-        np.subtract(self.a[s][v], null, out=self.row)
+        null /= self.twom
+        np.subtract(self.a[v], null, out=self.row)
         weights[1 + v] = 0.0
         bins[1:-1] = comm[s * n:(s + 1) * n]
         has_prev, has_succ = s > 0, s < self.n_slices - 1
@@ -223,13 +201,11 @@ class _Supervertices:
         self.order = np.argsort(member, kind="stable")
         self.bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=k))))
         s, v = self.slice_of, self.vertex_of = np.divmod(self.order, n)
-        self.layer_of = stack.which[s]
         cells = member[self.order] * n_slices + s
         # Whether a supervertex has two members in one slice.
         self.repeats = np.add.reduceat(np.diff(cells, prepend=-1) == 0, self.bounds[:-1])
         # Per supervertex and slice: its strength, and that times gamma_s / 2m_s.
-        strength = stack.d[self.layer_of, v]
-        self.strength = np.bincount(cells, strength, minlength=k * n_slices).reshape(k, n_slices)
+        self.strength = np.bincount(cells, stack.d[v], minlength=k * n_slices).reshape(k, n_slices)
         self.scale = self.strength * (np.array(stack.gammas) / stack.twom)
         self.table = np.zeros((n_slices, k + 1))
         np.add.at(self.table.T, labels, self.strength)
@@ -248,7 +224,7 @@ class _Supervertices:
         s = self.slice_of[lo:hi]
         self.table[:, comm[x[0]]] -= self.strength[c]
         comm[x] = k  # its own bin, dropped by the caller
-        rows = stack.a[self.layer_of[lo:hi], self.vertex_of[lo:hi]]
+        rows = stack.a[self.vertex_of[lo:hi]]
         if self.repeats[c]:  # sum the rows of each slice before binning
             starts = np.flatnonzero(np.diff(s, prepend=-1))
             rows = np.array([r.sum(axis=0) for r in np.split(rows, starts[1:])])
@@ -297,7 +273,7 @@ def _local_phase(stack: SliceStack, member: np.ndarray, labels: np.ndarray,
 
 def modularity_score(adjacency, partition, gamma: float) -> float:
     """Evaluate Q for one adjacency matrix and partition."""
-    stack = SliceStack([(adjacency, gamma)], omega=0.0)
+    stack = SliceStack(adjacency, [gamma], omega=0.0)
     return multislice_score(stack, _as_labels(partition).reshape(-1, 1))
 
 
@@ -308,7 +284,7 @@ def louvain(adjacency, gamma: float, seed: int,
     `trace`, when a list, collects the quality value after initialization and
     after each level (local-move phase plus aggregation); it is nondecreasing.
     """
-    res = multislice_louvain(SliceStack([(adjacency, gamma)], omega=0.0), seed, trace=trace)
+    res = multislice_louvain(SliceStack(adjacency, [gamma], omega=0.0), seed, trace=trace)
     return Partition(res.assignment[:, 0], objective=res.objective)
 
 
@@ -324,8 +300,9 @@ def multislice_score(stack: SliceStack, assignment) -> float:
         )
     total = 0.0
     strength_total = 0.0
-    for s, ((a, gamma), twom) in enumerate(zip(stack.slices, stack.twom.tolist())):
-        intra, null_sq = _delta_sums(a, stack.d[stack.which[s]], g[:, s])
+    twom = stack.twom
+    for s, gamma in enumerate(stack.gammas):
+        intra, null_sq = _delta_sums(stack.a, stack.d, g[:, s])
         total += intra - gamma * null_sq / twom
         strength_total += twom
     for s in range(n_slices - 1):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, compute_sigma
 from geocluster.synth import SynthConfig, generate_dataset
+
+# Every property test pins its own example count except the CLI fuzzer
+# (test_fuzz.py), which takes it from the loaded profile: hypothesis'
+# default (100 examples, about 2 s on 2 cores) in the suite, and 2000 under
+# `pytest tests/test_fuzz.py --hypothesis-profile=fuzz`.
+settings.register_profile("fuzz", max_examples=2000)
 
 # Dataset seed for trend tests; the calibrated preset is deterministic per seed.
 HOLLENBECK_SEED = 18

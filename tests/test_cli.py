@@ -271,6 +271,51 @@ class TestSpectralCommand:
         assert f"--out {out} exists and is a directory" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
+    def test_plot_csv_that_is_a_directory_fails_before_load(self, dataset_dir, tmp_path, capsys,
+                                                            monkeypatch, command):
+        def load_dataset(*args, **kwargs):
+            pytest.fail("dataset loaded before the plot CSV check")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        csv = tmp_path / "r.csv"
+        csv.mkdir()
+        assert main([command, "--dataset", str(dataset_dir), "--out",
+                     str(tmp_path / "r.json")]) == 3
+        assert f"plot CSV {csv} exists and is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [csv] and list(csv.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
+    def test_report_named_like_its_plot_csv_fails_before_load(self, dataset_dir, tmp_path,
+                                                              capsys, monkeypatch, command):
+        # The plot CSV would overwrite the report it was written beside.
+        def load_dataset(*args, **kwargs):
+            pytest.fail("dataset loaded before the --out check")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+        out = tmp_path / "r.csv"
+        assert main([command, "--dataset", str(dataset_dir), "--out", str(out)]) == 3
+        assert f"--out {out} ends in .csv, the name of its plot CSV" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectral", "--dataset", "{dataset}", "--out", "{tmp}/r\0.json"], "--out"),
+        (["multislice", "--dataset", "{dataset}\0", "--out", "{tmp}/r.json"], "--dataset"),
+        (["generate", "--out", "{tmp}/d\0s"], "--out"),
+    ], ids=["spectral_out", "multislice_dataset", "generate_out"])
+    def test_nul_byte_in_a_path_is_a_data_error(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch, argv, flag):
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the NUL check")
+
+        monkeypatch.setattr("geocluster.cli.load_dataset", no_work)
+        monkeypatch.setattr("geocluster.cli.generate_dataset", no_work)
+        argv = [tok.format(dataset=dataset_dir, tmp=tmp_path) for tok in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.endswith(" holds a NUL byte\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreadable_dataset_path_exits_with_data_error(self, dataset_dir, tmp_path, capsys):
         files = DatasetFiles.in_dir(tmp_path / "ds")
         files.individuals_csv.mkdir(parents=True)  # an OSError, not a missing file
@@ -445,6 +490,17 @@ class TestMultislice:
         assert np.array_equal(got, part.assignment)
         assert report["quality"] == pytest.approx(part.objective, abs=1e-12)
 
+    def test_omega_whose_coupling_total_overflows_is_a_data_error(self, dataset_dir, tmp_path,
+                                                                   capsys):
+        # 2 * omega * n * (slices - 1) = 2.4e309 at n = 120 with two slices;
+        # a finite omega that large overflowed the Louvain link sums.
+        out = tmp_path / "ms.json"
+        assert main(["multislice", "--dataset", str(dataset_dir), "--gamma-grid", "0.5,1",
+                     "--omega", "1e307", "--out", str(out)]) == 3
+        assert ("error: interslice coupling omega=1e+307 is too large"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_extreme_omega_slice_constant(self, dataset_dir, tmp_path):
         out = tmp_path / "ms.json"
         assert main([
@@ -549,6 +605,47 @@ class TestBaselinesCommand:
             assert run["em_iters"] >= 2 and run["cap_hit"] is False
         for name in ("kmeans_columns", "spectral"):
             assert set(report[name][0]["runs"][0]) == TestReportSchema.RUN_KEYS
+
+    @pytest.mark.parametrize("exponent", [50, 75, 76, 150, 152])
+    def test_coordinates_the_mixture_cannot_represent(self, dataset_dir, tmp_path, capsys,
+                                                      exponent):
+        # Every coordinate times 10^exponent. From 10^75 the squared location
+        # variance, the order of a component's covariance determinant,
+        # overflows float64; at 10^152 sigma is inf too. Any warning would
+        # fail the test (pytest turns warnings into errors).
+        individuals, social = load_dataset(DatasetFiles.in_dir(dataset_dir))
+        scale = 10.0 ** exponent
+        (tmp_path / "ds").mkdir()
+        save_dataset([Individual(p.id, p.x * scale, p.y * scale, p.gang) for p in individuals],
+                     social, DatasetFiles.in_dir(tmp_path / "ds"))
+        out = tmp_path / "b.json"
+        code = main(["baselines", "--dataset", str(tmp_path / "ds"), "--alphas", "0.4",
+                     "--k", "6", "--runs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        if exponent == 50:
+            assert code == 0 and load_results(out)["gmm"]["runs"]
+            return
+        assert code == 3
+        assert err.startswith("error: location variance ") and err.endswith(
+            " m^2 is too large for the mixture: its square overflows float64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["baselines", "spectral", "multislice"])
+    def test_coordinates_near_the_float_limit_are_data_errors(self, tmp_path, capsys, command):
+        # Neighbours at -1.7e308 and 1.7e308: their difference and the mean
+        # distance overflow, which sigma and the mixture's variance absorb
+        # without a warning and then reject.
+        rows = [f"p{i},{(-1) ** i * 1.7e308},0,{'ab'[i % 2]}" for i in range(8)]
+        (tmp_path / "individuals.csv").write_text("\n".join(["id,x,y,gang", *rows]) + "\n")
+        (tmp_path / "contacts.csv").write_text(
+            "\n".join(["id_a,id_b", *(f"p{i},p{i + 1}" for i in range(7))]) + "\n")
+        out = tmp_path / "r.json"
+        flags = [] if command == "multislice" else ["--k", "2", "--runs", "1"]
+        assert main([command, "--dataset", str(tmp_path), *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: location variance " if command == "baselines"
+                              else "error: sigma must be a positive finite length, got ")
+        assert not out.exists()
 
     def test_forced_em_cap_is_reported(self, dataset_dir, tmp_path, monkeypatch):
         # gmm_cluster looks fit_gmm up in its module, so the cap reaches it.
@@ -742,7 +839,9 @@ class TestReadme:
     """README's CLI section and the argument parser describe the same CLI."""
 
     TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    SCRIPT_FLAGS = {"--check", "--write"}  # scripts/digests.py's own options
+    # scripts/digests.py's own options, and the pytest option that picks the
+    # fuzzer's hypothesis profile
+    SCRIPT_FLAGS = {"--check", "--write", "--hypothesis-profile"}
 
     def test_every_cli_line_parses(self):
         block = self.TEXT.split("\n## CLI\n", 1)[1].split("```")[1]

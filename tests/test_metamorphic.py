@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from geocluster.cli import main
-from geocluster.graph import Individual, build_weight_matrix, compute_sigma
+from geocluster.graph import (Individual, SocialMatrix, build_weight_matrix, compute_sigma,
+                              normalize)
 from geocluster.io import DatasetFiles, load_dataset, save_dataset
+from geocluster.metrics import diagnostics
+from geocluster.modularity import louvain, modularity_score
+from geocluster.spectral import embed
 
 # A small grid of each command the relations cover; every run writes its
 # report under the same dataset path, so `config.dataset` matches too.
@@ -31,10 +35,11 @@ def dataset_dir(tmp_path_factory):
 
 
 def run_all(dataset, out_dir, commands) -> dict:
-    """{file name: bytes} of each command's report and plot CSV."""
+    """{file name: bytes} of the report and plot CSV of each command of
+    `commands`, a {command: flags} map."""
     out_dir.mkdir()
-    for command in commands:
-        assert main([command, "--dataset", str(dataset), *COMMANDS[command],
+    for command, flags in commands.items():
+        assert main([command, "--dataset", str(dataset), *flags,
                      "--out", str(out_dir / f"{command}.json")]) == 0
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
@@ -83,7 +88,7 @@ class TestLengthScale:
     def test_reports_agree_in_the_unit_of_the_original(self, dataset_dir, tmp_path):
         dataset = tmp_path / "ds"
         shutil.copytree(dataset_dir, dataset)
-        commands = ["spectral", "multislice"]
+        commands = {name: COMMANDS[name] for name in ("spectral", "multislice")}
         want = run_all(dataset, tmp_path / "want", commands)
         files = DatasetFiles.in_dir(dataset)
         individuals, social = load_dataset(files)
@@ -103,3 +108,101 @@ class TestLengthScale:
             assert json.loads(got[name]) != json.loads(want[name])
             assert unscaled(json.loads(got[name])) == json.loads(want[name])
         assert got["multislice.csv"] == want["multislice.csv"]
+
+
+def _metric_values(node, path=()):
+    """(path, value) of every purity and z-Rand entry of a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("purity", "z_rand") or key.startswith(("purity_", "zrand_")):
+                yield path + (key,), value
+            else:
+                yield from _metric_values(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _metric_values(value, path + (i,))
+
+
+class TestShuffledLabels:
+    """Negative control: the seed-18 dataset with its `gang` column permuted
+    once by np.random.default_rng(11), then every acceptance method run with
+    the acceptance flags. The partitions carry no information about the
+    shuffled labels, and z-Rand is a z-score under the hypergeometric null,
+    so every mean z-Rand lies within +-3 (they range from -1.7 to 0.4)."""
+
+    BOUND = 3.0
+    RUN = ["--k", "31", "--runs", "10", "--seed", "100"]
+
+    def test_every_mean_z_rand_is_near_zero(self, hollenbeck, tmp_path):
+        individuals, social, labels = hollenbeck
+        shuffled = labels[np.random.default_rng(11).permutation(labels.size)]
+        (tmp_path / "ds").mkdir()
+        save_dataset([Individual(p.id, p.x, p.y, str(gang))
+                      for p, gang in zip(individuals, shuffled)],
+                     social, DatasetFiles.in_dir(tmp_path / "ds"))
+        dataset = ["--dataset", str(tmp_path / "ds")]
+        reports = {}
+        for name, argv in {
+            "sweep-alpha": ["--alphas", "0,0.4,1", *self.RUN],
+            "baselines": ["--alphas", "0.4", *self.RUN],
+            "multislice": ["--alpha", "0.4", "--gamma-grid", "0.5:3.0:0.25", "--omega", "1.0",
+                           "--seed", "77"],
+        }.items():
+            out = tmp_path / f"{name}.json"
+            assert main([name, *dataset, *argv, "--out", str(out)]) == 0
+            reports[name] = json.loads(out.read_bytes())
+        means = {
+            **{f"alpha {r['alpha']}": r["zrand_mean"] for r in reports["sweep-alpha"]["results"]},
+            "gmm": reports["baselines"]["gmm"]["zrand_mean"],
+            **{f"{method} alpha {r['alpha']}": r["zrand_mean"]
+               for method in ("kmeans_columns", "spectral")
+               for r in reports["baselines"][method]},
+            **{f"gamma {r['gamma']}": r["z_rand"] for r in reports["multislice"]["results"]},
+        }
+        assert len(means) == 3 + 1 + 2 + 11
+        assert all(abs(z) <= self.BOUND for z in means.values()), means
+
+
+def test_order_preserving_label_renaming_keeps_every_score(dataset_dir, tmp_path):
+    # The transform: prefix every label with "g-", which keeps their sort
+    # order, so GT(p, q) draws the same pairs too.
+    commands = {**COMMANDS, "baselines": ["--alphas", "0.4", "--k", "6", "--runs", "2",
+                                          "--seed", "2"]}
+    dataset = tmp_path / "ds"
+    shutil.copytree(dataset_dir, dataset)
+    want = run_all(dataset, tmp_path / "want", commands)
+    files = DatasetFiles.in_dir(dataset)
+    individuals, social = load_dataset(files)
+    save_dataset([Individual(p.id, p.x, p.y, "g-" + p.gang) for p in individuals], social, files)
+    got = run_all(dataset, tmp_path / "got", commands)
+    assert want.keys() == got.keys()
+    for name in want:
+        if name.endswith(".csv"):
+            assert got[name] == want[name]
+            continue
+        assert json.loads(got[name]) != json.loads(want[name])  # the labels did change
+        values = list(_metric_values(json.loads(want[name])))
+        assert values and list(_metric_values(json.loads(got[name]))) == values
+
+
+def test_permuted_individuals(small_dataset):
+    # The transform: reorder the 160 individuals by
+    # np.random.default_rng(11).permutation(160), carrying the contacts along.
+    individuals, social, labels = small_dataset
+    n = len(individuals)
+    perm = np.random.default_rng(11).permutation(n)  # new position i holds old perm[i]
+    moved = [individuals[i] for i in perm]
+    moved_social = SocialMatrix.from_pairs(n, np.argsort(perm)[social.ij])
+    sigma = compute_sigma(individuals, social)
+    assert compute_sigma(moved, moved_social) == pytest.approx(sigma, rel=1e-12, abs=0.0)
+    assert diagnostics(moved_social, labels[perm]) == diagnostics(social, labels)
+    for alpha in (0.0, 0.4, 1.0):
+        graph = build_weight_matrix(individuals, social, alpha, sigma)
+        moved_graph = build_weight_matrix(moved, moved_social, alpha, sigma)
+        assert np.array_equal(moved_graph.W, graph.W[np.ix_(perm, perm)])
+        assert np.allclose(embed(moved_graph, 8).eigenvalues, embed(graph, 8).eigenvalues,
+                           rtol=0.0, atol=1e-12)
+        transition = normalize(graph)
+        part = louvain(transition, 1.0, seed=0)
+        assert modularity_score(normalize(moved_graph), part.assignment[perm], 1.0) == \
+            pytest.approx(part.objective, rel=0.0, abs=1e-12)

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,8 +140,7 @@ class TestLouvain:
             part = louvain(a, float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(1000)),
                            trace=trace)
             assert trace[-1] == part.objective
-        slices = [random_weighted_graph(rng, 12) for _ in range(3)]
-        stack = SliceStack(list(zip(slices, [0.5, 1.0, 2.0])), omega=0.4)
+        stack = SliceStack(random_weighted_graph(rng, 12), [0.5, 1.0, 2.0], omega=0.4)
         trace = []
         res = multislice_louvain(stack, seed=3, trace=trace)
         assert trace[0] == multislice_score(stack, np.arange(36).reshape(3, 12).T)
@@ -195,17 +196,17 @@ class TestSliceStack:
     def test_validation(self):
         a = two_cliques(3)
         with pytest.raises(Exception):
-            SliceStack([(a, 1.0), (a, 0.5)], omega=1.0)  # not increasing
+            SliceStack(a, [1.0, 0.5], omega=1.0)  # not increasing
         with pytest.raises(Exception):
-            SliceStack([(a, 1.0)], omega=-0.1)
+            SliceStack(a, [1.0], omega=-0.1)
         with pytest.raises(Exception):
-            SliceStack([], omega=1.0)
+            SliceStack(a, [], omega=1.0)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0, 0.0])
     def test_rejects_bad_gamma(self, gamma):
         a = two_cliques(3)
         with pytest.raises(DataError, match="gamma must be finite and positive"):
-            SliceStack([(a, gamma), (a, 2.0)], omega=1.0)
+            SliceStack(a, [gamma, 2.0], omega=1.0)
         with pytest.raises(DataError, match="gamma must be finite and positive"):
             louvain(a, gamma, seed=0)
         with pytest.raises(DataError, match="gamma must be finite and positive"):
@@ -214,19 +215,17 @@ class TestSliceStack:
     @pytest.mark.parametrize("omega", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_omega(self, omega):
         with pytest.raises(DataError, match="omega must be finite and nonnegative"):
-            SliceStack([(two_cliques(3), 1.0)], omega=omega)
+            SliceStack(two_cliques(3), [1.0], omega=omega)
 
-    @pytest.mark.parametrize("layout", ["single", "distinct", "shared"])
+    @pytest.mark.parametrize("layout", ["single", "shared"])
     def test_asymmetric_slice_reads_as_its_symmetrization(self, layout):
         rng = np.random.default_rng(13)
         a = rng.uniform(0.0, 1.0, size=(7, 7)) * (rng.random(size=(7, 7)) < 0.6)
-        b = random_weighted_graph(rng, 7)
-        slices = {"single": [a], "distinct": [b, a, b], "shared": [a, a, a]}[layout]
-        gammas = [0.5, 1.0, 2.0][:len(slices)]
-        stack = SliceStack(list(zip(slices, gammas)), omega=0.5)
-        sym = SliceStack([(0.5 * (x + x.T) if x is a else x, g)
-                          for x, g in zip(slices, gammas)], omega=0.5)
-        assignment = rng.integers(0, 3, size=(7, len(slices)))
+        random_weighted_graph(rng, 7)  # once a distinct slice; drawn so later draws stay
+        gammas = {"single": [0.5], "shared": [0.5, 1.0, 2.0]}[layout]
+        stack = SliceStack(a, gammas, omega=0.5)
+        sym = SliceStack(0.5 * (a + a.T), gammas, omega=0.5)
+        assignment = rng.integers(0, 3, size=(7, len(gammas)))
         assert multislice_score(stack, assignment) == multislice_score(sym, assignment)
         res, expected = multislice_louvain(stack, seed=3), multislice_louvain(sym, seed=3)
         assert np.array_equal(res.assignment, expected.assignment)
@@ -236,49 +235,44 @@ class TestSliceStack:
         t = normalize(small_graph)
         sym = 0.5 * (t + t.T)
         assert not np.array_equal(t, t.T)
-        stack = SliceStack([(t, 0.5), (t, 1.0)], omega=1.0)
-        assert stack.a.shape == (1, *t.shape) and not np.shares_memory(stack.a, t)
-        assert stack.a[0].tobytes() == sym.tobytes()
-        assert SliceStack([(sym, 1.0)], omega=0.0).a[0].tobytes() == sym.tobytes()
+        stack = SliceStack(t, [0.5, 1.0], omega=1.0)
+        assert stack.a.shape == t.shape and not np.shares_memory(stack.a, t)
+        assert stack.a.tobytes() == sym.tobytes()
+        assert SliceStack(sym, [1.0], omega=0.0).a.tobytes() == sym.tobytes()
+
+    def test_holds_no_reference_to_the_callers_array(self):
+        # The CLI frees D^-1 W once the stack is built, so the stack must
+        # keep only its own symmetrized copy, never the array it was given.
+        a = two_cliques(3)
+        a[0, 3] = 0.5  # asymmetric
+        caller = weakref.ref(a)
+        stack = SliceStack(a, [0.5, 1.0], omega=1.0)
+        del a
+        gc.collect()
+        assert caller() is None
+        assert stack.a[0, 3] == stack.a[3, 0] == 0.25
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weight(self, bad):
         a = two_cliques(3)
         a[0, 1] = bad
-        with pytest.raises(DataError, match="slice 1 has a non-finite weight"):
-            SliceStack([(two_cliques(3), 1.0), (a, 2.0)], omega=1.0)
-        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
+        with pytest.raises(DataError, match="the adjacency has a non-finite weight"):
             louvain(a, 1.0, seed=0)
-        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
+        with pytest.raises(DataError, match="the adjacency has a non-finite weight"):
             modularity_score(a, np.zeros(a.shape[0], dtype=int), 1.0)
         a[1, 0] = -bad  # inf - inf is nan, not a warning
-        with pytest.raises(DataError, match="slice 0 has a non-finite weight"):
-            SliceStack([(a, 1.0)], omega=0.0)
+        with pytest.raises(DataError, match="the adjacency has a non-finite weight"):
+            SliceStack(a, [1.0], omega=0.0)
 
     @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones(3), np.ones((2, 3)),
-                                     np.ones((2, 2, 2)), np.ones((3, 3))])
+                                     np.ones((2, 2, 2))])
     def test_rejects_slice_not_square_matrix(self, bad):
-        match = "all slices must share the same square shape"
-        if bad.shape != (3, 3):
-            with pytest.raises(DataError, match=match):
-                SliceStack([(bad, 1.0)], omega=1.0)
-        with pytest.raises(DataError, match=match):
-            SliceStack([(np.ones((2, 2)), 1.0), (bad, 2.0)], omega=1.0)
+        with pytest.raises(DataError, match="the adjacency must be a square matrix"):
+            SliceStack(bad, [1.0], omega=1.0)
 
     def test_rejects_zero_strength_slice(self):
-        with pytest.raises(EmptyGraph, match="slice 1 has zero total strength"):
-            SliceStack([(two_cliques(3), 1.0), (np.zeros((6, 6)), 2.0)], omega=1.0)
-
-    def test_shared_array_converted_once_first_slice_named(self):
-        a = two_cliques(3)
-        a[0, 1] = np.nan
-        # the first slice that holds the non-finite array is named
-        with pytest.raises(DataError, match="slice 1 has a non-finite weight"):
-            SliceStack([(two_cliques(3), 1.0), (a, 2.0), (a, 3.0)], omega=1.0)
-        rows = two_cliques(3).tolist()
-        stack = SliceStack([(rows, 1.0), (rows, 2.0), (two_cliques(3), 3.0)], omega=1.0)
-        assert stack.slices[0][0] is stack.slices[1][0]
-        assert stack.slices[1][0] is not stack.slices[2][0]
+        with pytest.raises(EmptyGraph, match="the adjacency has zero total strength"):
+            SliceStack(np.zeros((6, 6)), [1.0, 2.0], omega=1.0)
 
 
 class TestMultisliceScore:
@@ -286,42 +280,41 @@ class TestMultisliceScore:
         rng = np.random.default_rng(6)
         a = random_weighted_graph(rng, 6)
         labels = rng.integers(0, 3, size=6)
-        stack = SliceStack([(a, 1.0)], omega=5.0)
+        stack = SliceStack(a, [1.0], omega=5.0)
         assert multislice_score(stack, labels[:, None]) == pytest.approx(
             modularity_score(a, labels, 1.0), abs=1e-12
         )
 
     def test_omega_zero_is_strength_weighted_combination(self):
         rng = np.random.default_rng(7)
-        slices = [random_weighted_graph(rng, 5) + np.eye(5) * 0.1 for _ in range(3)]
+        # The three arrays the distinct slices read are still drawn, so every
+        # later draw is the same; the stack reads the first.
+        a, _, _ = (random_weighted_graph(rng, 5) + np.eye(5) * 0.1 for _ in range(3))
         gammas = [0.5, 1.0, 2.0]
         assignment = rng.integers(0, 3, size=(5, 3))
-        stack = SliceStack(list(zip(slices, gammas)), omega=0.0)
-        per_slice = [
-            modularity_score(a, assignment[:, s], g)
-            for s, (a, g) in enumerate(zip(slices, gammas))
-        ]
-        weights = [a.sum() for a in slices]
-        expected = sum(q * w for q, w in zip(per_slice, weights)) / sum(weights)
+        stack = SliceStack(a, gammas, omega=0.0)
+        per_slice = [modularity_score(a, assignment[:, s], g) for s, g in enumerate(gammas)]
+        # every slice has the same strength sum, so the weights are equal
+        expected = sum(per_slice) / len(per_slice)
         assert multislice_score(stack, assignment) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_naive_quadruple_loop(self):
         rng = np.random.default_rng(8)
         for trial in range(31):
-            slices = [random_weighted_graph(rng, 4) + np.eye(4) * 0.2 for _ in range(2)]
-            gammas = [0.7, 1.4]
-            if trial == 30:  # one array shared by the outer slices, a distinct one between
-                slices, gammas = [slices[0], slices[1], slices[0]], [0.5, 1.0, 2.0]
+            # Both arrays the distinct slices read are still drawn, so every
+            # later draw is the same; the stack reads the first.
+            a, _ = (random_weighted_graph(rng, 4) + np.eye(4) * 0.2 for _ in range(2))
+            gammas = [0.7, 1.4] if trial < 30 else [0.5, 1.0, 2.0]
             omega = float(rng.uniform(0, 2))
-            assignment = rng.integers(0, 3, size=(4, len(slices)))
-            stack = SliceStack(list(zip(slices, gammas)), omega=omega)
+            assignment = rng.integers(0, 3, size=(4, len(gammas)))
+            stack = SliceStack(a, gammas, omega=omega)
             assert multislice_score(stack, assignment) == pytest.approx(
-                naive_multislice(slices, gammas, omega, assignment), abs=1e-12
+                naive_multislice([a] * len(gammas), gammas, omega, assignment), abs=1e-12
             )
 
     def test_dimension_mismatch(self):
         a = two_cliques(3)
-        stack = SliceStack([(a, 1.0)], omega=0.0)
+        stack = SliceStack(a, [1.0], omega=0.0)
         with pytest.raises(DimensionMismatch):
             multislice_score(stack, np.zeros((5, 1), dtype=int))
 
@@ -329,14 +322,14 @@ class TestMultisliceScore:
 class TestMultisliceLouvain:
     def test_huge_omega_forces_slice_constant_assignment(self):
         rng = np.random.default_rng(9)
-        slices = [random_weighted_graph(rng, 8) + np.eye(8) * 0.1 for _ in range(3)]
-        stack = SliceStack(list(zip(slices, [0.5, 1.0, 1.5])), omega=1e6)
+        a = random_weighted_graph(rng, 8) + np.eye(8) * 0.1
+        stack = SliceStack(a, [0.5, 1.0, 1.5], omega=1e6)
         res = multislice_louvain(stack, seed=0)
         assert np.all(res.assignment == res.assignment[:, :1])
 
     def test_omega_zero_matches_single_slice_quality(self):
         a = two_cliques(4)
-        stack = SliceStack([(a, 0.5), (a, 1.0), (a, 1.5)], omega=0.0)
+        stack = SliceStack(a, [0.5, 1.0, 1.5], omega=0.0)
         res = multislice_louvain(stack, seed=1)
         for s, gamma in enumerate((0.5, 1.0, 1.5)):
             q_slice = modularity_score(a, res.slice_partition(s), gamma)
@@ -345,7 +338,7 @@ class TestMultisliceLouvain:
 
     def test_two_clique_stack_spans_slices(self):
         a = two_cliques(3)
-        stack = SliceStack([(a, 0.5), (a, 1.0), (a, 1.5)], omega=1.0)
+        stack = SliceStack(a, [0.5, 1.0, 1.5], omega=1.0)
         res = multislice_louvain(stack, seed=2)
         assert res.n_communities == 2
         assert np.all(res.assignment == res.assignment[:, :1])
@@ -357,12 +350,14 @@ class TestMultisliceLouvain:
         hits = 0
         total = 0
         for _ in range(8):
-            slices = [random_weighted_graph(rng, 4) + np.eye(4) * 0.2 for _ in range(2)]
+            # Both arrays the distinct slices read are still drawn, so every
+            # omega is the same; the stack reads the first.
+            a, _ = (random_weighted_graph(rng, 4) + np.eye(4) * 0.2 for _ in range(2))
             gammas = [0.6, 1.3]
             omega = float(rng.uniform(0.1, 1.5))
-            stack = SliceStack(list(zip(slices, gammas)), omega=omega)
+            stack = SliceStack(a, gammas, omega=omega)
             res = multislice_louvain(stack, seed=3)
-            best = exhaustive_best_multislice(slices, gammas, omega)
+            best = exhaustive_best_multislice([a] * len(gammas), gammas, omega)
             assert res.objective <= best + 1e-9
             hits += res.objective >= best - 1e-9
             total += 1
@@ -370,8 +365,8 @@ class TestMultisliceLouvain:
 
     def test_beats_singletons(self):
         rng = np.random.default_rng(11)
-        slices = [random_weighted_graph(rng, 6) + np.eye(6) * 0.1 for _ in range(2)]
-        stack = SliceStack(list(zip(slices, [0.8, 1.2])), omega=0.7)
+        a = random_weighted_graph(rng, 6) + np.eye(6) * 0.1
+        stack = SliceStack(a, [0.8, 1.2], omega=0.7)
         res = multislice_louvain(stack, seed=4)
         singles = np.arange(12).reshape(2, 6).T.copy()
         assert res.objective >= multislice_score(stack, singles) - 1e-12
@@ -379,7 +374,7 @@ class TestMultisliceLouvain:
     def test_peak_memory_relative_to_quality_matrix(self):
         n, n_slices = 300, 5
         a = random_weighted_graph(np.random.default_rng(12), n)
-        stack = SliceStack([(a, g) for g in np.linspace(0.5, 3.0, n_slices)], omega=1.0)
+        stack = SliceStack(a, np.linspace(0.5, 3.0, n_slices), omega=1.0)
         tracemalloc.start()
         try:
             multislice_louvain(stack, seed=0)
@@ -388,7 +383,7 @@ class TestMultisliceLouvain:
             tracemalloc.stop()
         # An explicit B would be a CSR of n_slices dense n x n blocks plus
         # 2n(n_slices - 1) couplings, at 8 bytes per value and 4 per int32
-        # column index. Louvain reads the one shared slice array instead and
+        # column index. Louvain reads the stack's one adjacency instead and
         # peaks near 0.38 b_bytes; building B alone peaked near 3.25.
         b_bytes = (n_slices * n * n + 2 * n * (n_slices - 1)) * 12
         assert peak < 0.5 * b_bytes
@@ -400,21 +395,16 @@ class TestMultisliceLouvain:
         # the same visiting order and move rule.
         rng = np.random.default_rng(seed)
         n, n_slices = int(rng.integers(3, 16)), int(rng.integers(1, 6))
-
-        def adjacency():
-            a = random_weighted_graph(rng, n)
-            if rng.random() < 0.5:
-                a += np.diag(rng.uniform(0.0, 1.0, n))
-            return a
-
-        shared = rng.random() < 0.5
-        slices = [adjacency()] * n_slices if shared else [adjacency() for _ in range(n_slices)]
-        if any(a.sum() == 0 for a in slices):
+        a = random_weighted_graph(rng, n)
+        if rng.random() < 0.5:
+            a += np.diag(rng.uniform(0.0, 1.0, n))
+        if a.sum() == 0:
             return
         gammas = np.cumsum(rng.uniform(0.1, 1.0, n_slices)).tolist()
         omega = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 2.0))
-        res = multislice_louvain(SliceStack(list(zip(slices, gammas)), omega), seed=seed % 1000)
-        assignment, quality = explicit_multislice_louvain(slices, gammas, omega, seed % 1000)
+        res = multislice_louvain(SliceStack(a, gammas, omega), seed=seed % 1000)
+        assignment, quality = explicit_multislice_louvain([a] * n_slices, gammas, omega,
+                                                          seed % 1000)
         assert np.array_equal(res.assignment, assignment)
         assert res.objective == pytest.approx(quality, abs=1e-12)
 
