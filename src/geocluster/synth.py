@@ -13,10 +13,14 @@ hold within 0.1, 0.02 and 0.05. The member count fixes the contact counts
 and so the first two; they, and whether the group sizes leave enough pairs
 for those contacts, are checked once before the first draw. An internal
 tuning loop then retunes the quiet-member share until a draw's isolate
-fraction is on target. SynthConfig sets only the member and group counts
-and the seed; every other model parameter is a module constant. Every length
-drawn is a multiple of SPATIAL_SPREAD, so it only sets the coordinates' unit:
-the method derives its length scale sigma from the data.
+fraction is on target. A draw weighs every pair of active members, one
+group's block of pairs at a time; only the two pools' weight arrays (same
+group, across groups) and the copies the weighted pick makes of them are
+pool-sized. SynthConfig sets only the member and group counts and the
+seed, each checked on construction; every other model parameter is a
+module constant. Every length drawn is a multiple of SPATIAL_SPREAD, so it
+only sets the coordinates' unit: the method derives its length scale sigma
+from the data.
 
 GT(p, q) starts from the full intra-group pair matrix, keeps a fraction p
 of the upper-triangular intra pairs uniformly at random, then swaps a
@@ -84,6 +88,8 @@ class GtParams:
             raise DataError(f"p must lie in [0, 1], got {self.p}")
         if not (0.0 <= self.q <= 1.0):
             raise DataError(f"q must lie in [0, 1], got {self.q}")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
 
 
 def gt_matrix(labels, params: GtParams) -> SocialMatrix:
@@ -145,6 +151,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_members <= 0 or self.n_groups <= 0:
             raise DataError("n_members and n_groups must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
         if self.n_groups * MIN_GROUP_SIZE > self.n_members:
             raise DataError(
                 f"n_groups * {MIN_GROUP_SIZE} (the minimum group size) exceeds n_members"
@@ -184,24 +192,20 @@ def _grid_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return cells[order] + jitter
 
 
-def _pair_weights(lengths: np.ndarray, cols: np.ndarray, act: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
-    """act_i * act_j * exp(-(dx^2 + dy^2) / (2 length^2)) of each pair of a
-    pool whose row i holds lengths[i] consecutive pairs, built in place on a
-    few pool-sized arrays."""
-    w = np.repeat(act, lengths)
-    w *= act[cols]
-    d2 = np.repeat(x, lengths)
-    d2 -= x[cols]
-    d2 *= d2
-    dy = np.repeat(y, lengths)
-    dy -= y[cols]
+def _block_weights(out: np.ndarray, act: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   rows: slice, cols: slice, length: float) -> np.ndarray:
+    """Writes act_r * act_c * exp(-(dx^2 + dy^2) / (2 length^2)) of every
+    pair (r, c) of rows x cols into `out`, of shape (len(rows), len(cols))."""
+    np.subtract(x[rows, None], x[None, cols], out=out)
+    out *= out
+    dy = y[rows, None] - y[None, cols]
     dy *= dy
-    d2 += dy
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * length * length
-    w *= np.exp(d2, out=d2)
-    return w
+    out += dy
+    np.negative(out, out=out)
+    out /= 2.0 * length * length
+    np.exp(out, out=out)
+    out *= np.multiply(act[rows, None], act[None, cols], out=dy)
+    return out
 
 
 def _sample_contacts(
@@ -229,8 +233,13 @@ def _sample_contacts(
     each active member's same-group partners after it form one contiguous
     run and its other-group partners the rest of the active list. Each pool
     lists its pairs (r, c), r < c, in row-major order over the active
-    members, and a draw costs O(a^2) time for a active members and a few
-    pool-sized arrays.
+    members. Both are weighed in one pass over the groups: the active rows
+    [lo, hi) of a group hold its same-group pairs as the strict upper
+    triangle of the block [lo, hi) x [lo, hi) and its cross-group pairs as
+    the block [lo, hi) x [hi, a), and each group's entries follow the
+    previous group's in both pools. A draw costs O(a^2) time for a active
+    members; what is pool-sized is the two weight arrays and the copies
+    `rng.choice` makes of them, the rest is one group's block at a time.
     """
     n = group_of.size
     activity = rng.lognormal(mean=0.0, sigma=ACTIVITY_SIGMA, size=n)
@@ -245,24 +254,33 @@ def _sample_contacts(
     group = group_of[active]
     end = np.searchsorted(group, group, side="right")
     first = np.arange(1, a + 1)
+    pools = ((first, end - first, n_edges_intra), (end, a - end, n_edges_inter))
+    intra_w, inter_w = (np.empty(lengths.sum()) for _, lengths, _ in pools)
     act, x, y = activity[active], xy[active, 0], xy[active, 1]
+    lo = at_intra = at_inter = 0
+    while lo < a:
+        hi = end[lo]
+        m, span = hi - lo, slice(lo, hi)
+        square = _block_weights(np.empty((m, m)), act, x, y, span, span, intra_length)
+        upper = square[np.less.outer(np.arange(m), np.arange(m))]
+        intra_w[at_intra:at_intra + upper.size] = upper
+        cross = inter_w[at_inter:at_inter + m * (a - hi)].reshape(m, a - hi)
+        _block_weights(cross, act, x, y, span, slice(hi, a), inter_length)
+        lo, at_intra, at_inter = hi, at_intra + upper.size, at_inter + cross.size
 
     chosen: list[np.ndarray] = []
-    for starts, lengths, count, length in (
-            (first, end - first, n_edges_intra, intra_length),
-            (end, a - end, n_edges_inter, inter_length)):
-        if lengths.sum() < count:
+    for (starts, lengths, count), w in zip(pools, (intra_w, inter_w)):
+        if w.size < count:
             return None
         if count:
+            w /= w.sum()
+            picks = rng.choice(w.size, size=count, replace=False, p=w)
             # Row r's pairs are entries [stop[r] - lengths[r], stop[r]) of
             # the pool, with columns from starts[r] up.
             stop = np.cumsum(lengths)
-            cols = np.arange(stop[-1]) - np.repeat(stop - lengths - starts, lengths)
-            w = _pair_weights(lengths, cols, act, x, y, length)
-            w /= w.sum()
-            picks = rng.choice(cols.size, size=count, replace=False, p=w)
             rows = np.searchsorted(stop, picks, side="right")
-            chosen.append(np.column_stack([active[rows], active[cols[picks]]]))
+            cols = picks - (stop - lengths - starts)[rows]
+            chosen.append(np.column_stack([active[rows], active[cols]]))
     return np.concatenate(chosen) if chosen else np.zeros((0, 2), dtype=int)
 
 

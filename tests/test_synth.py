@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geocluster import synth
@@ -106,6 +106,8 @@ class TestGtMatrix:
             GtParams(p=1.1, q=0.0)
         with pytest.raises(DataError):
             GtParams(p=0.5, q=-0.2)
+        with pytest.raises(DataError, match="seed must be at least 0, got -3"):
+            GtParams(p=0.5, q=0.2, seed=-3)
 
     def test_deterministic_per_seed(self):
         labels = labels_of_sizes([6, 6])
@@ -203,6 +205,8 @@ class TestGenerateDataset:
             SynthConfig(n_members=0)
         with pytest.raises(DataError):
             SynthConfig(n_members=10, n_groups=5)
+        with pytest.raises(DataError, match="seed must be at least 0, got -1"):
+            SynthConfig(seed=-1)
 
     def test_config_has_only_the_three_settable_fields(self):
         names = [f.name for f in dataclasses.fields(SynthConfig)]
@@ -219,10 +223,14 @@ class TestGenerateDataset:
             "f20cf7c08e13aa1acf5c906798a3e109e2e8bbab5ddca11d7f5d07298296f442",
             "1077955c50025f12691dff86e3b9f9b9d4b3f86710f6561e9175b73e06baa157",
         )),
-        # the dataset 0 of the benchmark's `scale` workload
+        # the datasets 0 and 1 of the benchmark's `scale` workload
         (dict(n_members=3000, n_groups=124, seed=18), (
             "e4b18c234d1f0c10335d3da5e4bcfce83ba16e1d0a719f1bed541bf71c5d5602",
             "de417c4b24d6f1a7096b6101687e1636eede7fcd6f465f7514847c8d2e8880d2",
+        )),
+        (dict(n_members=3000, n_groups=124, seed=1018), (
+            "e51eae25cec9830fcf6c09dec642ad7106b6a854315c4e4b09928cc8da80d2dd",
+            "748d3230fcfb4e12b5dcb89fcf1699689973953034266c9f78c882c00f249d47",
         )),
         *MANIFEST_PINS,
     ])
@@ -233,18 +241,26 @@ class TestGenerateDataset:
                     for path in (files.individuals_csv, files.contacts_csv))
         assert got == digests
 
-    def test_default_dataset_peak_memory(self):
-        # A draw holds a few arrays the size of its larger (cross-group) pair
-        # pool: the seed-18 dataset peaks near 12 MB under tracemalloc, and
-        # the explicit pair list with its (a^2, 2) coordinate differences
-        # peaked near 25 MB.
+    # A draw holds the two pools' weight arrays and the copies rng.choice
+    # makes of them; every other array is one group's block. Seed 18 peaks
+    # under tracemalloc at 7.9 MB for n = 748 and 139 MB for n = 3000 / 124
+    # groups; pools cut with pool-sized column and row index arrays peaked
+    # at 9.8 MB and 173 MB.
+    @staticmethod
+    def _peak_bytes(config):
+        np.random.default_rng(0)  # numpy imports numpy.random on first use
         tracemalloc.start()
         try:
-            generate_dataset(SynthConfig(seed=18))
-            peak = tracemalloc.get_traced_memory()[1]
+            generate_dataset(config)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+
+    def test_default_dataset_peak_memory(self):
+        assert self._peak_bytes(SynthConfig(seed=18)) < 8.8e6
+
+    def test_scale_dataset_peak_memory(self):
+        assert self._peak_bytes(SynthConfig(n_members=3000, n_groups=124, seed=18)) < 155e6
 
     def test_member_counts_off_target_fail_before_any_draw(self, monkeypatch):
         # n fixes the contact counts, so for these n every draw would miss
@@ -323,6 +339,15 @@ def contact_draws(draw):
     ), draw(st.integers(0, 2**32 - 1))
 
 
+def block_layout(sizes, n_edges_intra, n_edges_inter, seed=5):
+    """A contact draw with every member active (quiet fraction 0), so the
+    group sizes are the active layout that the pools are cut from."""
+    coords = np.random.default_rng(seed)
+    n = sum(sizes)
+    return (np.repeat(np.arange(len(sizes)), sizes), coords.uniform(0.0, 3000.0, size=(n, 2)),
+            n_edges_intra, n_edges_inter, 0.0, coords.random(n), 400.0, 300.0), seed
+
+
 class TestSampleContacts:
     @staticmethod
     def _outcome(sampler, args, seed):
@@ -337,6 +362,19 @@ class TestSampleContacts:
 
     @given(contact_draws())
     @settings(max_examples=300, deadline=None)
+    # Layouts with empty or thin blocks: one group (no cross-group pool),
+    # one-member groups (no same-group pairs) first, in the middle and last,
+    # two members in all, and a large last group (its cross block is empty).
+    @example(block_layout([9], 6, 0))
+    @example(block_layout([9], 6, 1))
+    @example(block_layout([1, 5, 4], 4, 5))
+    @example(block_layout([4, 1, 5], 4, 5))
+    @example(block_layout([5, 4, 1], 4, 5))
+    @example(block_layout([1, 1, 1], 0, 3))
+    @example(block_layout([2], 1, 0))
+    @example(block_layout([1, 1], 0, 1))
+    @example(block_layout([2, 3, 2], 3, 6))
+    @example(block_layout([2, 3, 40], 30, 20))
     def test_matches_pair_list_oracle(self, case):
         args, seed = case
         got, got_state = self._outcome(_sample_contacts, args, seed)
