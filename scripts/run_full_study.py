@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """End-to-end study runner.
 
-Generates the calibrated synthetic dataset, then reproduces the full
-experiment battery: the alpha sweep, the baseline comparison, the
-multislice resolution sweep, and the GT(p, q) noise-model sweep. Reports
-land in the output directory as JSON plus plot-ready CSV.
+Generates the calibrated synthetic dataset, then runs the study of
+`geocluster.study`, the command lines the acceptance gate judges: the
+alpha sweep, the baseline comparison, the multislice resolution sweep and
+the GT(p, q) noise-model sweep. Each writes `<command>.json` and, next to
+it, a plot-ready CSV in the output directory.
 
 Usage:
-    python scripts/run_full_study.py [--out results] [--seed 18] [--runs 10]
+    python scripts/run_full_study.py [--out results] [--seed 18]
 """
 
 import argparse
 import sys
 from pathlib import Path
 
+from geocluster import study
 from geocluster.cli import main as cli
 from geocluster.io import load_results
 
@@ -28,37 +30,23 @@ def run(args_list):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
-    parser.add_argument("--seed", type=int, default=18)
-    parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=study.DATASET_SEED)
     args = parser.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = out / "dataset"
+    run(study.generate(args.seed, data))
+    for argv in study.commands(data, out).values():
+        run(argv)
 
-    run(["generate", "--preset", "hollenbeck", "--seed", str(args.seed),
-         "--out", str(data)])
-    run(["sweep-alpha", "--dataset", str(data),
-         "--alphas", "0,0.2,0.4,0.6,0.8,1.0", "--runs", str(args.runs),
-         "--seed", "100", "--out", str(out / "alpha_sweep.json")])
-    run(["baselines", "--dataset", str(data), "--alphas", "0,0.4,0.9",
-         "--runs", str(args.runs), "--seed", "100",
-         "--out", str(out / "baselines.json")])
-    run(["multislice", "--dataset", str(data), "--alpha", "0.4",
-         "--gamma-grid", "0.5:3.0:0.25", "--omega", "1.0", "--seed", "77",
-         "--out", str(out / "multislice.json")])
-    run(["gt-sweep", "--dataset", str(data), "--alphas", "0.4,0.8",
-         "--p-grid", "0,0.25,0.5,0.75,1.0", "--q-list", "0,0.15,0.3",
-         "--runs", str(args.runs), "--seed", "100",
-         "--out", str(out / "gt_sweep.json")])
-
-    sweep = load_results(out / "alpha_sweep.json")
+    sweep = load_results(out / "sweep-alpha.json")
     print("\n=== headline numbers ===")
     for rec in sweep["results"]:
         print(f"alpha={rec['alpha']:>4}: purity {rec['purity_mean']:.3f} "
               f"± {rec['purity_std']:.3f}, z-Rand {rec['zrand_mean']:.1f} "
               f"± {rec['zrand_std']:.1f}")
-    gt = load_results(out / "gt_sweep.json")
+    gt = load_results(out / "gt-sweep.json")
     print(f"GT equivalence point p* = {gt['equivalence_p']:.4f}")
     print(f"\nreports in {out}/")
     return 0

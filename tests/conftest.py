@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from geocluster import study
+from geocluster.cli import main
 from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, compute_sigma
 from geocluster.synth import SynthConfig, generate_dataset
 
@@ -10,9 +12,6 @@ from geocluster.synth import SynthConfig, generate_dataset
 # default (100 examples, about 2 s on 2 cores) in the suite, and 2000 under
 # `pytest tests/test_fuzz.py --hypothesis-profile=fuzz`.
 settings.register_profile("fuzz", max_examples=2000)
-
-# Dataset seed for trend tests; the calibrated preset is deterministic per seed.
-HOLLENBECK_SEED = 18
 
 # One line per acceptance criterion, echoed after the run (test_acceptance
 # fills this; capture would otherwise swallow the in-test prints).
@@ -59,9 +58,19 @@ def random_weighted_graph(rng, n, density=0.6):
 @pytest.fixture(scope="session")
 def hollenbeck():
     """Calibrated 748-member / 31-group dataset shared by trend tests."""
-    individuals, social = generate_dataset(SynthConfig(seed=HOLLENBECK_SEED))
+    individuals, social = generate_dataset(SynthConfig(seed=study.DATASET_SEED))
     labels = np.array([p.gang for p in individuals])
     return individuals, social, labels
+
+
+@pytest.fixture(scope="session")
+def dataset_dir(tmp_path_factory):
+    """The CLI tests' dataset directory: 120 members in 6 groups, seed 7.
+    Tests read it; one that edits a dataset copies it first."""
+    out = tmp_path_factory.mktemp("data") / "ds"
+    assert main(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7",
+                 "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture(scope="session")

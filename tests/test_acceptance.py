@@ -4,13 +4,15 @@ Part 1 (criteria 1-7) checks every numerical operation against an
 independent oracle: naive loops, exhaustive enumeration, or permutation
 Monte Carlo. Part 2 (criteria 8-12) reproduces the study's qualitative
 trends on the calibrated 748-member / 31-group synthetic dataset through
-the real CLI, and criterion 13 asserts byte-identical reports by running
-every command twice. One PASS line is printed per criterion.
+the real CLI, running the command lines of `geocluster.study`; criterion
+13 runs each of them twice and compares the files. One PASS line is
+printed per criterion.
 """
 
 import numpy as np
 import pytest
 
+from geocluster import study
 from geocluster.baselines import fit_gmm
 from geocluster.cli import main
 from geocluster.graph import build_weight_matrix, normalize
@@ -20,7 +22,7 @@ from geocluster.modularity import SliceStack, louvain, modularity_score, multisl
 from geocluster.spectral import embed
 from geocluster.synth import GtParams, gt_matrix, total_intra_pairs, _round_half_up
 
-from conftest import ACCEPTANCE_LINES, HOLLENBECK_SEED, random_instance, random_weighted_graph
+from conftest import ACCEPTANCE_LINES, random_instance, random_weighted_graph
 from oracles import (
     exhaustive_best_modularity,
     naive_modularity,
@@ -28,10 +30,6 @@ from oracles import (
     naive_weight_matrix,
     permutation_w_samples,
 )
-
-K_GROUPS = 31
-RUNS = 10
-BASE_SEED = 100
 
 
 def report_line(num, description, passed, detail=""):
@@ -193,8 +191,8 @@ def test_criterion_5_zrand_monte_carlo():
 
 def test_criterion_6_gt_structural_invariants():
     rng = np.random.default_rng(1006)
-    sizes = rng.integers(4, 14, size=K_GROUPS)
-    labels = np.repeat([f"g{i}" for i in range(K_GROUPS)], sizes)
+    sizes = rng.integers(4, 14, size=31)  # as many groups as the calibrated dataset
+    labels = np.repeat([f"g{i}" for i in range(sizes.size)], sizes)
     lab = np.asarray(labels)
     total = total_intra_pairs(labels)
     n = lab.size
@@ -250,83 +248,41 @@ def test_criterion_7_em_loglik_monotone():
 # Trend-reproduction suite on the calibrated dataset
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("acceptance")
-
-
-def run_cli_twice(args, out):
-    """Run a CLI command twice; byte-identical output feeds criterion 13."""
-    code = main(args)
-    assert code == 0, f"command failed: {args}"
-    first = out.read_bytes()
-    assert main(args) == 0
-    assert out.read_bytes() == first, f"non-deterministic output: {args}"
-    return load_results(out)
+def snapshot(root):
+    """Every file under `root` with its bytes."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="module")
-def dataset_dir(workdir):
-    out = workdir / "hollenbeck"
-    args = ["generate", "--preset", "hollenbeck",
-            "--seed", str(HOLLENBECK_SEED), "--out", str(out)]
-    assert main(args) == 0
-    snapshot = {
-        name: (out / name).read_bytes() for name in ("individuals.csv", "contacts.csv")
-    }
-    assert main(args) == 0
-    for name, blob in snapshot.items():
-        assert (out / name).read_bytes() == blob
-    return out
+def study_run(tmp_path_factory):
+    """`generate` and every study command, each run twice: the study's
+    {command: report} and, for criterion 13, {step: whether the rerun left
+    every file byte-identical}."""
+    out_dir = tmp_path_factory.mktemp("acceptance")
+    dataset = out_dir / "dataset"
+    commands = study.commands(dataset, out_dir)
+    reruns = {}
+    for step, argv in {"generate": study.generate(study.DATASET_SEED, dataset),
+                       **commands}.items():
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0, f"command failed: {argv}"
+            runs.append(snapshot(out_dir))
+        reruns[step] = runs[0] == runs[1]
+    return {command: load_results(argv[-1]) for command, argv in commands.items()}, reruns
 
 
 @pytest.fixture(scope="module")
-def alpha_sweep(workdir, dataset_dir):
-    out = workdir / "sweep.json"
-    return run_cli_twice([
-        "sweep-alpha", "--dataset", str(dataset_dir),
-        "--alphas", "0,0.2,0.4,0.6,0.8,1.0", "--k", str(K_GROUPS),
-        "--runs", str(RUNS), "--seed", str(BASE_SEED), "--out", str(out),
-    ], out)
-
-
-@pytest.fixture(scope="module")
-def baselines_report(workdir, dataset_dir):
-    out = workdir / "baselines.json"
-    return run_cli_twice([
-        "baselines", "--dataset", str(dataset_dir), "--alphas", "0.4",
-        "--k", str(K_GROUPS), "--runs", str(RUNS),
-        "--seed", str(BASE_SEED), "--out", str(out),
-    ], out)
-
-
-@pytest.fixture(scope="module")
-def gt_sweep(workdir, dataset_dir):
-    out = workdir / "gt.json"
-    return run_cli_twice([
-        "gt-sweep", "--dataset", str(dataset_dir), "--alphas", "0.8",
-        "--p-grid", "0,0.25,0.5,0.75,1.0", "--q-list", "0",
-        "--k", str(K_GROUPS), "--runs", str(RUNS),
-        "--seed", str(BASE_SEED), "--out", str(out),
-    ], out)
-
-
-@pytest.fixture(scope="module")
-def multislice_report(workdir, dataset_dir):
-    out = workdir / "multislice.json"
-    return run_cli_twice([
-        "multislice", "--dataset", str(dataset_dir), "--alpha", "0.4",
-        "--gamma-grid", "0.5:3.0:0.25", "--omega", "1.0",
-        "--seed", "77", "--out", str(out),
-    ], out)
+def reports(study_run):
+    return study_run[0]
 
 
 def by_alpha(report):
     return {rec["alpha"]: rec for rec in report["results"]}
 
 
-def test_criterion_8_alpha_sweep_purity(alpha_sweep):
-    recs = by_alpha(alpha_sweep)
+def test_criterion_8_alpha_sweep_purity(reports):
+    recs = by_alpha(reports["sweep-alpha"])
     low = [recs[a] for a in (0.0, 0.2, 0.4, 0.6, 0.8)]
     indep = all(
         abs(a["purity_mean"] - b["purity_mean"])
@@ -343,16 +299,16 @@ def test_criterion_8_alpha_sweep_purity(alpha_sweep):
                 f"p(0.4)={p04['purity_mean']:.3f}, p(1.0)={p10['purity_mean']:.3f}")
 
 
-def test_criterion_9_zrand_collapse_at_alpha_one(alpha_sweep):
-    recs = by_alpha(alpha_sweep)
+def test_criterion_9_zrand_collapse_at_alpha_one(reports):
+    recs = by_alpha(reports["sweep-alpha"])
     z1, z4 = recs[1.0]["zrand_mean"], recs[0.4]["zrand_mean"]
     report_line(9, "z-Rand at alpha=1 below a tenth of the alpha=0.4 level",
                 z1 < 0.1 * z4, f"z(1.0)={z1:.1f}, z(0.4)={z4:.1f}")
 
 
-def test_criterion_10_gmm_comparison(baselines_report):
-    gmm = baselines_report["gmm"]
-    spectral = by_alpha({"results": baselines_report["spectral"]})[0.4]
+def test_criterion_10_gmm_comparison(reports):
+    gmm = reports["baselines"]["gmm"]
+    spectral = by_alpha({"results": reports["baselines"]["spectral"]})[0.4]
     z_ok = gmm["zrand_mean"] < spectral["zrand_mean"]
     band = 2 * pooled_std(gmm["purity_std"], spectral["purity_std"])
     pur_ok = abs(gmm["purity_mean"] - spectral["purity_mean"]) <= band
@@ -362,13 +318,15 @@ def test_criterion_10_gmm_comparison(baselines_report):
                 f"purity gap {abs(gmm['purity_mean'] - spectral['purity_mean']):.3f} vs band {band:.3f}")
 
 
-def test_gmm_fits_stop_before_em_cap(baselines_report):
-    runs = baselines_report["gmm"]["runs"]
-    assert [r["cap_hit"] for r in runs] == [False] * RUNS, [r["em_iters"] for r in runs]
+def test_gmm_fits_stop_before_em_cap(reports):
+    report = reports["baselines"]
+    runs = report["gmm"]["runs"]
+    assert [r["cap_hit"] for r in runs] == [False] * report["config"]["runs"], \
+        [r["em_iters"] for r in runs]
 
 
-def test_criterion_11_gt_sweep_rises_with_p(gt_sweep):
-    recs = sorted(gt_sweep["results"], key=lambda r: r["p"])
+def test_criterion_11_gt_sweep_rises_with_p(reports):
+    recs = sorted(reports["gt-sweep"]["results"], key=lambda r: r["p"])
     means = [r["purity_mean"] for r in recs]
     inversions = sum(1 for a, b in zip(means, means[1:]) if b < a - 1e-12)
     gain = means[-1] - means[0]
@@ -378,9 +336,9 @@ def test_criterion_11_gt_sweep_rises_with_p(gt_sweep):
                 + ",".join(f"{m:.3f}" for m in means))
 
 
-def test_criterion_12_multislice_plateau(multislice_report):
-    plateaus = [p for p in multislice_report["plateaus"] if p["length"] >= 3]
-    maxima = multislice_report["zrand_local_maxima"]
+def test_criterion_12_multislice_plateau(reports):
+    plateaus = [p for p in reports["multislice"]["plateaus"] if p["length"] >= 3]
+    maxima = reports["multislice"]["zrand_local_maxima"]
     hit = any(
         p["start"] - 1 <= m <= p["end"] + 1 for p in plateaus for m in maxima
     )
@@ -390,9 +348,8 @@ def test_criterion_12_multislice_plateau(multislice_report):
                 f"maxima {maxima}")
 
 
-def test_criterion_13_reproducibility(alpha_sweep, baselines_report, gt_sweep,
-                                       multislice_report):
-    # Byte-identity is asserted inside run_cli_twice for every command above;
-    # reaching this point means every acceptance run was repeated and matched.
-    report_line(13, "repeated runs with the same seed are byte-identical", True,
-                "verified for generate, sweep-alpha, baselines, gt-sweep, multislice")
+def test_criterion_13_reproducibility(study_run):
+    _, reruns = study_run
+    differ = [step for step, same in reruns.items() if not same]
+    report_line(13, "repeated runs with the same seed are byte-identical", not differ,
+                f"differ: {', '.join(differ)}" if differ else f"verified for {', '.join(reruns)}")

@@ -24,17 +24,6 @@ from geocluster.io import DatasetFiles, load_dataset, save_dataset
 from oracles import naive_community_summaries
 
 
-@pytest.fixture(scope="module")
-def dataset_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("data") / "ds"
-    code = main([
-        "generate", "--preset", "hollenbeck", "--n-members", "120",
-        "--n-groups", "6", "--seed", "7", "--out", str(out),
-    ])
-    assert code == 0
-    return out
-
-
 class TestGenerate:
     def test_writes_files(self, dataset_dir):
         assert (dataset_dir / "individuals.csv").exists()
@@ -833,6 +822,25 @@ class TestHelpers:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+
+class TestStudy:
+    """`geocluster.study` serves the gate and the study script, off the CLI's path."""
+
+    SRC = str(Path(geocluster.__file__).resolve().parents[1])
+
+    def test_cli_import_leaves_study_unloaded(self):
+        code = "import sys, geocluster, geocluster.cli; print('geocluster.study' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": self.SRC})
+        assert out.stdout.strip() == "False"
+
+    def test_study_script_help(self):
+        script = Path(self.SRC).parent / "scripts" / "run_full_study.py"
+        out = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": self.SRC})
+        assert "--out" in out.stdout and "--seed" in out.stdout
+        assert "--runs" not in out.stdout
 
 
 class TestReadme:

@@ -24,7 +24,6 @@ import os
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -76,16 +75,6 @@ SMALL = {"--k": "2", "--runs": "1", "--alphas": "0.4", "--p-grid": "0.5", "--q-l
          "--gamma-grid": "0.5,1"}
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    """The CLI tests' dataset: 120 members in 6 groups, seed 7."""
-    out = tmp_path_factory.mktemp("fuzz") / "ds"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7",
-                     "--out", str(out)]) == 0
-    return out
-
-
 def workspace(root: Path, dataset: Path) -> dict:
     """Lay out the run's directory and map each drawn name to its path."""
     data = DatasetFiles.in_dir(root / "data")
@@ -128,10 +117,10 @@ def argvs(draw):
 
 @given(argv=argvs())
 @settings(deadline=None)
-def test_cli_ends_in_a_documented_exit_code(dataset, argv):
+def test_cli_ends_in_a_documented_exit_code(dataset_dir, argv):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        names = workspace(root, dataset)
+        names = workspace(root, dataset_dir)
         resolved = [names.get(tok, tok) if prev in ("--out", "--dataset") else tok
                     for prev, tok in zip([None] + argv, argv)]
         before = snapshot(root)

@@ -7,10 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
+from geocluster import study
 from geocluster.cli import main
 from geocluster.graph import (Individual, SocialMatrix, build_weight_matrix, compute_sigma,
                               normalize)
-from geocluster.io import DatasetFiles, load_dataset, save_dataset
+from geocluster.io import DatasetFiles, load_dataset, load_results, save_dataset
 from geocluster.metrics import diagnostics
 from geocluster.modularity import louvain, modularity_score
 from geocluster.spectral import embed
@@ -23,15 +24,6 @@ COMMANDS = {
     "gt-sweep": ["--alphas", "0.4,0.8", "--p-grid", "0,0.5", "--q-list", "0,0.3",
                  "--k", "6", "--runs", "2", "--seed", "2"],
 }
-
-
-@pytest.fixture(scope="module")
-def dataset_dir(tmp_path_factory):
-    """The CLI tests' dataset: 120 members in 6 groups, seed 7."""
-    out = tmp_path_factory.mktemp("data") / "ds"
-    assert main(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7",
-                 "--out", str(out)]) == 0
-    return out
 
 
 def run_all(dataset, out_dir, commands) -> dict:
@@ -125,13 +117,14 @@ def _metric_values(node, path=()):
 
 class TestShuffledLabels:
     """Negative control: the seed-18 dataset with its `gang` column permuted
-    once by np.random.default_rng(11), then every acceptance method run with
-    the acceptance flags. The partitions carry no information about the
-    shuffled labels, and z-Rand is a z-score under the hypergeometric null,
-    so every mean z-Rand lies within +-3 (they range from -1.7 to 0.4)."""
+    once by np.random.default_rng(11), then the study's `sweep-alpha`,
+    `baselines` and `multislice` command lines run on it (`gt-sweep` builds
+    its contacts from the labels, so it has no shuffled counterpart). The
+    partitions carry no information about the shuffled labels, and z-Rand
+    is a z-score under the hypergeometric null, so every mean z-Rand lies
+    within +-3 (they range from -1.7 to 0.55)."""
 
     BOUND = 3.0
-    RUN = ["--k", "31", "--runs", "10", "--seed", "100"]
 
     def test_every_mean_z_rand_is_near_zero(self, hollenbeck, tmp_path):
         individuals, social, labels = hollenbeck
@@ -140,17 +133,11 @@ class TestShuffledLabels:
         save_dataset([Individual(p.id, p.x, p.y, str(gang))
                       for p, gang in zip(individuals, shuffled)],
                      social, DatasetFiles.in_dir(tmp_path / "ds"))
-        dataset = ["--dataset", str(tmp_path / "ds")]
+        commands = study.commands(tmp_path / "ds", tmp_path)
         reports = {}
-        for name, argv in {
-            "sweep-alpha": ["--alphas", "0,0.4,1", *self.RUN],
-            "baselines": ["--alphas", "0.4", *self.RUN],
-            "multislice": ["--alpha", "0.4", "--gamma-grid", "0.5:3.0:0.25", "--omega", "1.0",
-                           "--seed", "77"],
-        }.items():
-            out = tmp_path / f"{name}.json"
-            assert main([name, *dataset, *argv, "--out", str(out)]) == 0
-            reports[name] = json.loads(out.read_bytes())
+        for name in ("sweep-alpha", "baselines", "multislice"):
+            assert main(commands[name]) == 0
+            reports[name] = load_results(commands[name][-1])
         means = {
             **{f"alpha {r['alpha']}": r["zrand_mean"] for r in reports["sweep-alpha"]["results"]},
             "gmm": reports["baselines"]["gmm"]["zrand_mean"],
@@ -159,7 +146,7 @@ class TestShuffledLabels:
                for r in reports["baselines"][method]},
             **{f"gamma {r['gamma']}": r["z_rand"] for r in reports["multislice"]["results"]},
         }
-        assert len(means) == 3 + 1 + 2 + 11
+        assert len(means) == 6 + 1 + 2 + 11
         assert all(abs(z) <= self.BOUND for z in means.values()), means
 
 
