@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import GeoSocialGraph, Individual, locations, strengths
-from .spectral import InvalidK, Partition, kmeans, kmeans_pp_init
+from .spectral import Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
 EM_TOL = 1e-3  # per point
@@ -77,7 +77,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (1 <= k <= n):
-        raise InvalidK(f"k={k} outside [1, {n}]")
+        raise DataError(f"k={k} outside [1, {n}]")
     with np.errstate(over="ignore", invalid="ignore"):
         variance = float(points.var(axis=0).mean())
     if not math.isfinite(variance * variance):

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .baselines import gmm_cluster, kmeans_columns
 from .errors import DataError, NumericalError
 from .graph import build_weight_matrix, check_alpha, compute_sigma, locations, normalize
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
-from .metrics import DegenerateCounts, contingency_table, diagnostics, purity, z_rand
+from .metrics import contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, check_slice_params, multislice_louvain
 from .spectral import embed, kmeans
 from .synth import GtParams, SynthConfig, generate_dataset, gt_equivalence_point, gt_matrix
@@ -264,9 +263,9 @@ def _z_rand(labels, part, **point) -> float:
     the keywords `point` (the record's keys and values)."""
     try:
         return z_rand(labels, part)
-    except DegenerateCounts as exc:
+    except DataError as exc:
         where = ", ".join(f"{key}={value}" for key, value in point.items())
-        raise DegenerateCounts(f"at {where}, {exc}") from None
+        raise DataError(f"at {where}, {exc}") from None
 
 
 def _score_runs(individuals, labels, seeds, lead: dict, parts, pick) -> dict:
@@ -345,7 +344,7 @@ def cmd_generate(args) -> int:
     try:
         individuals, social = generate_dataset(config)
     except NumericalError as exc:
-        raise type(exc)(f"{exc}; config: {config}") from exc
+        raise NumericalError(f"{exc}; config: {config}") from exc
     out_dir.mkdir(exist_ok=True)  # only once there is a dataset to write
     save_dataset(individuals, social, DatasetFiles.in_dir(out_dir))
     labels = [p.gang for p in individuals]
@@ -466,8 +465,11 @@ def cmd_gt_sweep(args) -> int:
                         f"{points} points, more than {MAX_GRID_POINTS}")
     run_config = _run_config(args)
     # Constructing the params checks every p and q before the dataset load.
-    grid = [(alpha, GtParams(p=p, q=q, seed=args.seed + GT_SEED_STRIDE * (index + 1)))
-            for index, (q, alpha, p) in enumerate(product(q_list, alphas, p_grid))]
+    # A draw is seeded by its position in the q x p grid, so every alpha
+    # scores the same GT matrix.
+    draws = [[GtParams(p=p, q=q, seed=args.seed + GT_SEED_STRIDE * (qi * len(p_grid) + pi + 1))
+              for pi, p in enumerate(p_grid)] for qi, q in enumerate(q_list)]
+    grid = [(alpha, params) for row in draws for alpha in alphas for params in row]
     out, individuals, social, labels, sigma = _load(args)
 
     def gt_graph(alpha, params):

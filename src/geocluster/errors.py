@@ -1,8 +1,10 @@
-"""Shared exception base classes.
+"""The package's exception classes: one per CLI exit code.
 
-Concrete errors live next to the code that raises them; the two bases
-exist so the CLI can map failures to exit codes (data problems vs.
-numerical failures) without importing every module.
+Every failure the package raises on purpose is a `DataError` (bad input:
+files, out-of-range parameters, mismatched shapes; exit 3) or a
+`NumericalError` (a solver or the generator's calibration did not succeed;
+exit 4). The message says what went wrong; no subclass tells cases apart,
+so this module is the only one that defines exception classes.
 """
 
 

@@ -22,26 +22,6 @@ import numpy as np
 from .errors import DataError
 
 
-class InvalidAlpha(DataError):
-    pass
-
-
-class InvalidSigma(DataError):
-    pass
-
-
-class NoContacts(DataError):
-    pass
-
-
-class ZeroScale(DataError):
-    pass
-
-
-class ZeroStrength(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class Individual:
     """A point-located person: opaque id, planar coordinates in meters,
@@ -151,17 +131,17 @@ def compute_sigma(individuals: Sequence[Individual], social: SocialMatrix) -> fl
     with np.errstate(over="ignore", invalid="ignore"):
         dist = contact_distances(individuals, social)
         if dist.size == 0:
-            raise NoContacts("cannot derive a length scale without contact pairs")
+            raise DataError("cannot derive a length scale without contact pairs")
         sigma = float(dist.mean() + dist.std())
     if sigma == 0.0:
-        raise ZeroScale("all contact pairs are co-located; length scale undefined")
+        raise DataError("all contact pairs are co-located; length scale undefined")
     return sigma
 
 
 def check_alpha(alpha: float) -> None:
     """The blend weight rule: alpha lies in [0, 1]."""
     if not (0.0 <= alpha <= 1.0):
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+        raise DataError(f"alpha must lie in [0, 1], got {alpha}")
 
 
 def build_weight_matrix(
@@ -179,7 +159,7 @@ def build_weight_matrix(
     """
     check_alpha(alpha)
     if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise InvalidSigma(f"sigma must be a positive finite length, got {sigma}")
+        raise DataError(f"sigma must be a positive finite length, got {sigma}")
     xy = locations(individuals)
     x, y = xy[:, 0:1], xy[:, 1:2]
     # Each step writes into an existing n x n array, in the float operations
@@ -209,7 +189,7 @@ def strengths(graph: GeoSocialGraph) -> np.ndarray:
     zero = np.flatnonzero(graph.d == 0.0)
     if zero.size:
         # Unreachable under the unit-diagonal convention; kept as a guard.
-        raise ZeroStrength(f"individual {int(zero[0])} has zero strength")
+        raise DataError(f"individual {int(zero[0])} has zero strength")
     return graph.d
 
 

@@ -27,24 +27,6 @@ from .errors import DataError
 from .graph import Individual, SocialMatrix
 
 
-class ParseError(DataError):
-    def __init__(self, path, line: int, message: str) -> None:
-        super().__init__(f"{path}:{line}: {message}")
-        self.line = line
-
-
-class UnknownId(DataError):
-    def __init__(self, identifier: str) -> None:
-        super().__init__(f"contact references unknown id {identifier!r}")
-        self.identifier = identifier
-
-
-class SelfContact(DataError):
-    def __init__(self, identifier: str) -> None:
-        super().__init__(f"self-contact for id {identifier!r}")
-        self.identifier = identifier
-
-
 @dataclass(frozen=True)
 class DatasetFiles:
     individuals_csv: Path
@@ -64,15 +46,15 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
     for line_no, (ident, x, y, gang) in _read_rows(files.individuals_csv, ("id", "x", "y", "gang")):
         ident, gang = ident.strip(), gang.strip()
         if not ident:
-            raise ParseError(files.individuals_csv, line_no, "empty id")
+            raise _parse_error(files.individuals_csv, line_no, "empty id")
         if any(c in ident + gang for c in "\r\n"):
-            raise ParseError(files.individuals_csv, line_no, "line break in an id or group label")
+            raise _parse_error(files.individuals_csv, line_no, "line break in an id or group label")
         if ident in index:
-            raise ParseError(files.individuals_csv, line_no, f"duplicate id {ident!r}")
+            raise _parse_error(files.individuals_csv, line_no, f"duplicate id {ident!r}")
         try:
             x, y = float(x), float(y)
         except ValueError:
-            raise ParseError(files.individuals_csv, line_no, "bad coordinate") from None
+            raise _parse_error(files.individuals_csv, line_no, "bad coordinate") from None
         index[ident] = len(individuals)
         individuals.append(Individual(id=ident, x=x, y=y, gang=gang or None))
 
@@ -80,20 +62,24 @@ def load_dataset(files: DatasetFiles) -> tuple[list[Individual], SocialMatrix]:
     for _, (a, b) in _read_rows(files.contacts_csv, ("id_a", "id_b")):
         a, b = a.strip(), b.strip()
         if a not in index:
-            raise UnknownId(a)
+            raise DataError(f"contact references unknown id {a!r}")
         if b not in index:
-            raise UnknownId(b)
+            raise DataError(f"contact references unknown id {b!r}")
         if a == b:
-            raise SelfContact(a)
+            raise DataError(f"self-contact for id {a!r}")
         pairs.append((index[a], index[b]))
     return individuals, SocialMatrix.from_pairs(len(individuals), pairs)
+
+
+def _parse_error(path, line: int, message: str) -> DataError:
+    return DataError(f"{path}:{line}: {message}")
 
 
 def _read_rows(path, required) -> list[tuple[int, list[str]]]:
     """(first line number, required fields) for each nonblank row of a UTF-8 CSV,
     BOM or not; a byte that is not UTF-8, a field over the `csv` module's
     size limit, a header that repeats a name or a row whose field count
-    differs from the header's is a `ParseError`."""
+    differs from the header's is a `DataError` naming the file and line."""
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
@@ -101,8 +87,8 @@ def _read_rows(path, required) -> list[tuple[int, list[str]]]:
         # The bytes before the bad one decode; its line is the last line of
         # that prefix plus one more character, split as the reader splits.
         prefix = io.StringIO(data[:exc.start].decode("utf-8") + "?", newline="")
-        raise ParseError(path, len(prefix.readlines()),
-                         f"not UTF-8 ({exc.reason} {data[exc.start]:#04x})") from None
+        raise _parse_error(path, len(prefix.readlines()),
+                           f"not UTF-8 ({exc.reason} {data[exc.start]:#04x})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     lines, first = [], 1
     try:
@@ -112,21 +98,21 @@ def _read_rows(path, required) -> list[tuple[int, list[str]]]:
             lines.append((first, row))
             first = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(path, reader.line_num, str(exc)) from None
+        raise _parse_error(path, reader.line_num, str(exc)) from None
     header = lines[0][1] if lines else []
     missing = [c for c in required if c not in header]
     if missing:
-        raise ParseError(path, 1, f"missing required columns {missing}")
+        raise _parse_error(path, 1, f"missing required columns {missing}")
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
-        raise ParseError(path, 1, f"repeated columns {repeated}")
+        raise _parse_error(path, 1, f"repeated columns {repeated}")
     cols = [header.index(c) for c in required]
     rows = []
     for line_no, row in lines[1:]:
         if not row:
             continue
         if len(row) != len(header):
-            raise ParseError(path, line_no, f"has {len(row)} fields, not {len(header)}")
+            raise _parse_error(path, line_no, f"has {len(row)} fields, not {len(header)}")
         rows.append((line_no, [row[i] for i in cols]))
     return rows
 

@@ -18,14 +18,6 @@ from .errors import DataError
 from .graph import SocialMatrix
 
 
-class LengthMismatch(DataError):
-    pass
-
-
-class DegenerateCounts(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairCounts:
     """Pair-level contingency totals: M pairs overall, M1 co-clustered,
@@ -45,11 +37,9 @@ def _check_lengths(labels, assignment) -> tuple[np.ndarray, np.ndarray]:
     lab = np.asarray(labels)
     assign = _as_labels(assignment)
     if lab.size == 0:
-        raise LengthMismatch("empty label vector")
+        raise DataError("empty label vector")
     if lab.shape != assign.shape:
-        raise LengthMismatch(
-            f"labels have length {lab.size}, partition {assign.size}"
-        )
+        raise DataError(f"labels have length {lab.size}, partition {assign.size}")
     return lab, assign
 
 
@@ -92,7 +82,7 @@ def z_rand(labels, partition) -> float:
     counts = pair_counts(labels, partition)
     m, m1, m2, w = counts.M, counts.M1, counts.M2, counts.w
     if m <= 1:
-        raise DegenerateCounts("need more than one pair to standardize w")
+        raise DataError("need more than one pair to standardize w")
     mean_w = m1 * m2 / m
     var_w = mean_w * (1.0 - m1 / m) * (m - m2) / (m - 1)
     if var_w <= 0.0:
@@ -100,7 +90,7 @@ def z_rand(labels, partition) -> float:
                    else "all individuals share one community" if m1 == m
                    else "no two individuals share a label" if m2 == 0
                    else "all individuals share one label")
-        raise DegenerateCounts(
+        raise DataError(
             f"z-Rand is undefined: {trivial} ({m1} of {m} pairs share a community, "
             f"{m2} share a label)"
         )
@@ -138,7 +128,7 @@ def diagnostics(social: SocialMatrix, labels) -> SocialDiagnostics:
     """Degree statistics, isolate counts, and the intra-group contact share."""
     lab = np.asarray(labels)
     if lab.size != social.n:
-        raise LengthMismatch("labels do not match matrix size")
+        raise DataError("labels do not match matrix size")
     deg = social.degrees()
     n = social.n
     intra = intra_contact_count(lab, social) / social.n_contacts if social.n_contacts else None

@@ -45,14 +45,6 @@ from .spectral import Partition, relabel_first_occurrence
 MOVE_GAIN_TOL = 1e-12
 
 
-class EmptyGraph(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
 class SliceStack:
     """One adjacency over n vertices, read at each of the strictly
     increasing resolutions `gammas` (one slice per gamma), plus the
@@ -79,7 +71,7 @@ class SliceStack:
         self.d = self.a.sum(axis=1)
         self.twom = float(self.d.sum())
         if self.twom == 0.0:
-            raise EmptyGraph("the adjacency has zero total strength")
+            raise DataError("the adjacency has zero total strength")
         # Every sum of couplings (a link, a quality term) is at most their total.
         if not math.isfinite(2.0 * omega * self.n * (self.n_slices - 1)):
             raise DataError(f"interslice coupling omega={omega} is too large: the total "
@@ -104,7 +96,7 @@ class MultisliceAssignment:
     def __post_init__(self) -> None:
         self.assignment = np.asarray(self.assignment, dtype=int)
         if self.assignment.ndim != 2:
-            raise DimensionMismatch("assignment must be an (n, n_slices) matrix")
+            raise DataError("assignment must be an (n, n_slices) matrix")
         ids = np.unique(self.assignment)
         if ids.size and (ids[0] != 0 or ids[-1] != ids.size - 1):
             raise ValueError("community ids must be 0-based and contiguous")
@@ -295,9 +287,7 @@ def multislice_score(stack: SliceStack, assignment) -> float:
     g = _as_labels(assignment)
     n, n_slices = stack.n, stack.n_slices
     if g.shape != (n, n_slices):
-        raise DimensionMismatch(
-            f"assignment shape {g.shape} does not match stack ({n}, {n_slices})"
-        )
+        raise DataError(f"assignment shape {g.shape} does not match stack ({n}, {n_slices})")
     total = 0.0
     strength_total = 0.0
     twom = stack.twom

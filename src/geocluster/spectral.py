@@ -29,15 +29,6 @@ from .graph import GeoSocialGraph, normalize
 KMEANS_MAX_ITER = 300
 
 
-class ConvergenceFailure(NumericalError):
-    pass
-
-
-class InvalidK(DataError, ValueError):
-    """A cluster or embedding count outside [1, n]. It is also a ValueError,
-    so callers that catch ValueError for a bad k keep working."""
-
-
 @dataclass(eq=False)
 class Embedding:
     """Rows are per-individual spectral coordinates (v^1_j, ..., v^k_j);
@@ -108,7 +99,7 @@ def embed(graph: GeoSocialGraph, k: int) -> Embedding:
     """Leading k eigenpairs of D^-1 W via the symmetric transform."""
     n = graph.n
     if not (1 <= k <= n):
-        raise InvalidK(f"embedding dimension k={k} outside [1, {n}]")
+        raise DataError(f"embedding dimension k={k} outside [1, {n}]")
     normalize(graph)  # strength validation only
     root = np.sqrt(graph.d)
     vals, vecs = _scaled_eigh(graph.W, root, subset_by_index=[n - k, n - 1])
@@ -136,7 +127,7 @@ def _scaled_eigh(w: np.ndarray, root: np.ndarray,
     workspace sizes LAPACK's own query returns (a smaller workspace changes
     the blocking and so the rounding), and the same checks, so the eigenpairs
     are bit-identical to eigh's. A non-finite matrix raises eigh's
-    ValueError, and a LAPACK failure raises ConvergenceFailure.
+    ValueError, and a LAPACK failure raises NumericalError.
     """
     sym = np.outer(root, root)
     np.divide(w, sym, out=sym)
@@ -172,7 +163,7 @@ def _checked(routine, *args, **kwargs) -> list:
     if info < 0:
         raise ValueError(f"LAPACK {routine.__name__}: illegal value in argument {-info}")
     if info > 0:
-        raise ConvergenceFailure(
+        raise NumericalError(
             f"eigensolver failed: LAPACK {routine.__name__} returned info={info}")
     return out
 
@@ -187,9 +178,9 @@ def _lapack():
     array-API shim imports numpy.f2py and numpy.testing), more than the
     eigensolves of a whole `sweep-alpha` command. Importing scipy and
     loading the binding alone takes about 30 ms and 5 MB. The module is
-    private to scipy, so a scipy release that moves or renames it fails
-    here with an ImportError naming the path and the scipy version; the
-    routines and their arguments are LAPACK's and f2py's. A binding already
+    private to scipy: where its extension file is not found, the public
+    `scipy.linalg.lapack` is imported instead, which re-exports the same
+    routine objects, so only the import cost differs. A binding already
     imported, for instance by `scipy.linalg`, is reused, and one loaded
     here is the module a later `import scipy.linalg` uses.
     """
@@ -202,7 +193,9 @@ def _lapack():
     paths = [linalg / ("_flapack" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
     if path is None:
-        raise ImportError(f"scipy {scipy.__version__} has no LAPACK binding at {paths[0]}")
+        from scipy.linalg import lapack
+
+        return lapack
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_file_location(name, path, loader=loader))
@@ -226,7 +219,7 @@ def kmeans(points: np.ndarray, k_clusters: int, seed: int) -> Partition:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not (1 <= k_clusters <= n):
-        raise InvalidK(f"k_clusters={k_clusters} outside [1, {n}]")
+        raise DataError(f"k_clusters={k_clusters} outside [1, {n}]")
     if k_clusters > 1 and np.all(points == points[0]):
         return Partition(np.zeros(n, dtype=int), objective=0.0, degenerate=True)
     rng = np.random.default_rng(seed)

@@ -63,14 +63,6 @@ INTRA_FRACTION_TOL = 0.02
 ISOLATE_FRACTION_TOL = 0.05
 
 
-class InsufficientZeros(DataError):
-    pass
-
-
-class CalibrationFailure(NumericalError):
-    pass
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -111,9 +103,7 @@ def gt_matrix(labels, params: GtParams) -> SocialMatrix:
         zero_mask[kept] = False
         zero_pool = np.flatnonzero(zero_mask)
         if n_flip > zero_pool.size:
-            raise InsufficientZeros(
-                f"need {n_flip} zero entries to flip, only {zero_pool.size} available"
-            )
+            raise DataError(f"need {n_flip} zero entries to flip, only {zero_pool.size} available")
         out = rng.choice(kept, size=n_flip, replace=False)
         into = rng.choice(zero_pool, size=n_flip, replace=False)
         final = np.setdiff1d(kept, out, assume_unique=True)
@@ -309,7 +299,7 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     mean_degree, intra = 2.0 * n_edges / n, n_intra / n_edges
     if (abs(mean_degree - TARGET_MEAN_DEGREE) > MEAN_DEGREE_TOL
             or abs(intra - TARGET_INTRA_FRACTION) > INTRA_FRACTION_TOL):
-        raise CalibrationFailure(
+        raise NumericalError(
             f"{n} members get {n_edges} contacts, {n_intra} of them intra-group, so "
             f"every draw would have mean degree {mean_degree:.4f} (target "
             f"{TARGET_MEAN_DEGREE} ± {MEAN_DEGREE_TOL}) and intra fraction "
@@ -332,7 +322,7 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
     intra_pool = total_intra_pairs(group_of)
     inter_pool = n * (n - 1) // 2 - intra_pool
     if intra_pool < n_intra or inter_pool < n_inter:
-        raise CalibrationFailure(
+        raise NumericalError(
             f"even with every member active, the {intra_pool} intra-group and "
             f"{inter_pool} inter-group pairs cannot host {n_intra} intra-group "
             f"and {n_inter} inter-group edges"
@@ -383,7 +373,7 @@ def generate_dataset(config: SynthConfig) -> tuple[list[Individual], SocialMatri
         last = (f"at quiet fraction {quiet:.4f}, gave isolate fraction {isolates:.4f} "
                 f"(target {TARGET_ISOLATE_FRACTION} ± {ISOLATE_FRACTION_TOL})")
         quiet = min(0.95, max(0.0, quiet - (isolates - TARGET_ISOLATE_FRACTION)))
-    raise CalibrationFailure(
+    raise NumericalError(
         f"isolate fraction target not met within {CALIBRATION_MAX_ITER} draws; "
         f"the last draw, {last}"
     )

@@ -16,8 +16,9 @@ import scipy.sparse as sp
 
 from geocluster.baselines import COV_REG, EM_TOL, GmmFit
 from geocluster.spectral import kmeans_pp_init
+from geocluster.errors import DataError
 from geocluster.graph import SocialMatrix
-from geocluster.synth import ACTIVITY_SIGMA, HOTSPOT_STRENGTH, InsufficientZeros, _round_half_up
+from geocluster.synth import ACTIVITY_SIGMA, HOTSPOT_STRENGTH, _round_half_up
 
 
 def naive_weight_matrix(points, contact_pairs, alpha, sigma):
@@ -434,9 +435,7 @@ def string_mask_gt_matrix(labels, params):
         zero_mask[kept] = False
         zero_pool = np.flatnonzero(zero_mask)
         if n_flip > zero_pool.size:
-            raise InsufficientZeros(
-                f"need {n_flip} zero entries to flip, only {zero_pool.size} available"
-            )
+            raise DataError(f"need {n_flip} zero entries to flip, only {zero_pool.size} available")
         out = rng.choice(kept, size=n_flip, replace=False)
         into = rng.choice(zero_pool, size=n_flip, replace=False)
         final = np.setdiff1d(kept, out, assume_unique=True)

@@ -24,6 +24,16 @@ from geocluster.io import DatasetFiles, load_dataset, save_dataset
 from oracles import naive_community_summaries
 
 
+@pytest.fixture
+def stub_load(monkeypatch):
+    """The CLI's dataset load fails with "dataset load reached", so a test
+    that sees any other error knows its check ran before the load."""
+    def load_dataset(*args, **kwargs):
+        raise DataError("dataset load reached")
+
+    monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+
+
 class TestGenerate:
     def test_writes_files(self, dataset_dir):
         assert (dataset_dir / "individuals.csv").exists()
@@ -113,11 +123,7 @@ class TestSpectralCommand:
 
     @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "gt-sweep", "baselines"])
     def test_runs_above_bound_exits_before_load(self, dataset_dir, tmp_path, capsys,
-                                                monkeypatch, command):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+                                                stub_load, command):
         argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
         assert main([*argv, "--runs", "10001"]) == 3
         assert "at most 10000, got 10001" in capsys.readouterr().err
@@ -129,12 +135,8 @@ class TestSpectralCommand:
         ["gt-sweep", "--alphas", "0.8", "--p-grid", "0", "--q-list", "0"],
         ["multislice", "--gamma-grid", "1"],
     ], ids=lambda argv: argv[0])
-    def test_negative_seed_exits_before_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+    def test_negative_seed_exits_before_load(self, dataset_dir, tmp_path, capsys, stub_load,
                                              argv):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         out = tmp_path / "r.json"
         argv = [*argv, "--dataset", str(dataset_dir), "--out", str(out)]
         assert main([*argv, "--seed", "-5"]) == 3
@@ -148,14 +150,10 @@ class TestSpectralCommand:
         ("gt-sweep", "--q-list"), ("gt-sweep", "--p-grid"), ("multislice", "--gamma-grid"),
     ])
     def test_value_list_above_bound_exits_before_load(self, dataset_dir, tmp_path, capsys,
-                                                      monkeypatch, command, flag):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
+                                                      stub_load, command, flag):
         def values(count):
             return ",".join(str((i + 1) / (count + 1)) for i in range(count))
 
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
         if command == "gt-sweep":
             argv += ["--alphas", "0.5", "--p-grid", "0", "--q-list", "0"]
@@ -169,12 +167,8 @@ class TestSpectralCommand:
         ("sweep-alpha", "--alphas"), ("baselines", "--alphas"), ("gt-sweep", "--alphas"),
         ("gt-sweep", "--q-list"),
     ])
-    def test_range_value_list_reaches_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+    def test_range_value_list_reaches_load(self, dataset_dir, tmp_path, capsys, stub_load,
                                            command, flag):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         argv = [command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]
         if command == "gt-sweep":
             argv += ["--alphas", "0.5", "--p-grid", "0", "--q-list", "0"]
@@ -212,21 +206,13 @@ class TestSpectralCommand:
     ], ids=["spectral_alpha", "spectral_nan_alpha", "multislice_alpha", "sweep_alpha_alphas",
             "baselines_alphas", "gt_sweep_alphas", "gt_sweep_p", "gt_sweep_q", "spectral_k",
             "sweep_alpha_k", "gt_sweep_k", "baselines_k"])
-    def test_bad_value_exits_before_load(self, dataset_dir, tmp_path, capsys, monkeypatch,
+    def test_bad_value_exits_before_load(self, dataset_dir, tmp_path, capsys, stub_load,
                                          argv, message):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         assert main([*argv, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]) == 3
         assert message in capsys.readouterr().err
 
     def test_gt_sweep_product_above_bound_exits_before_load(self, dataset_dir, tmp_path,
-                                                            capsys, monkeypatch):
-        def load_dataset(*args, **kwargs):
-            raise DataError("dataset load reached")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+                                                            capsys, stub_load):
         argv = ["gt-sweep", "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json"),
                 "--alphas", ",".join(["0.5"] * 100)]
         assert main([*argv, "--p-grid", "0:1:0.01", "--q-list", "0,0.1"]) == 3
@@ -249,11 +235,7 @@ class TestSpectralCommand:
     @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "multislice", "gt-sweep",
                                          "baselines"])
     def test_out_that_is_a_directory_fails_before_load(self, dataset_dir, tmp_path, capsys,
-                                                       monkeypatch, command):
-        def load_dataset(*args, **kwargs):
-            pytest.fail("dataset loaded before the --out check")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+                                                       stub_load, command):
         out = tmp_path / "r.json"
         out.mkdir()
         assert main([command, "--dataset", str(dataset_dir), "--out", str(out)]) == 3
@@ -262,11 +244,7 @@ class TestSpectralCommand:
 
     @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
     def test_plot_csv_that_is_a_directory_fails_before_load(self, dataset_dir, tmp_path, capsys,
-                                                            monkeypatch, command):
-        def load_dataset(*args, **kwargs):
-            pytest.fail("dataset loaded before the plot CSV check")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+                                                            stub_load, command):
         csv = tmp_path / "r.csv"
         csv.mkdir()
         assert main([command, "--dataset", str(dataset_dir), "--out",
@@ -276,12 +254,8 @@ class TestSpectralCommand:
 
     @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
     def test_report_named_like_its_plot_csv_fails_before_load(self, dataset_dir, tmp_path,
-                                                              capsys, monkeypatch, command):
+                                                              capsys, stub_load, command):
         # The plot CSV would overwrite the report it was written beside.
-        def load_dataset(*args, **kwargs):
-            pytest.fail("dataset loaded before the --out check")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
         out = tmp_path / "r.csv"
         assert main([command, "--dataset", str(dataset_dir), "--out", str(out)]) == 3
         assert f"--out {out} ends in .csv, the name of its plot CSV" in capsys.readouterr().err
@@ -507,11 +481,7 @@ class TestMultislice:
         ("--gamma-grid=-1,1", "--omega", "1"),
     ])
     def test_bad_gamma_or_omega_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
-                                                      monkeypatch, flags):
-        def load_dataset(*args, **kwargs):
-            pytest.fail("dataset loaded before the gamma/omega check")
-
-        monkeypatch.setattr("geocluster.cli.load_dataset", load_dataset)
+                                                      stub_load, flags):
         out = tmp_path / "ms.json"
         code = main(["multislice", "--dataset", str(dataset_dir), *flags, "--out", str(out)])
         assert code == 3
@@ -576,6 +546,22 @@ class TestGtSweep:
         assert len(report["results"]) == 2 * 3 * 2
         keys = [(r["q"], r["alpha"], r["p"]) for r in report["results"]]
         assert keys == sorted(keys)
+
+    def test_draw_does_not_depend_on_the_alphas(self, dataset_dir, tmp_path):
+        # Each GT(p, q) draw is seeded by its (q, p) position alone, so every
+        # alpha scores the same matrix and adding an alpha changes no record.
+        records = {}
+        for alphas in ("0.8", "0.4,0.8"):
+            out = tmp_path / f"gt-{alphas}.json"
+            assert main([
+                "gt-sweep", "--dataset", str(dataset_dir), "--alphas", alphas,
+                "--p-grid", "0,0.5,1", "--q-list", "0,0.3", "--k", "6",
+                "--runs", "2", "--seed", "3", "--out", str(out),
+            ]) == 0
+            records[alphas] = load_results(out)["results"]
+        assert [r for r in records["0.4,0.8"] if r["alpha"] == 0.8] == records["0.8"]
+        # 6 (q, p) points, one gt_seed each
+        assert len({(r["q"], r["p"], r["gt_seed"]) for r in records["0.4,0.8"]}) == 6
 
 
 class TestBaselinesCommand:

@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 from geocluster.errors import DataError
 from geocluster.graph import (
     Individual,
-    InvalidAlpha,
-    InvalidSigma,
-    NoContacts,
     SocialMatrix,
-    ZeroScale,
     build_weight_matrix,
     compute_sigma,
     contact_distances,
@@ -60,12 +56,14 @@ class TestComputeSigma:
 
     def test_no_contacts(self):
         inds = points_on_line([10.0])
-        with pytest.raises(NoContacts):
+        with pytest.raises(DataError,
+                           match="^cannot derive a length scale without contact pairs$"):
             compute_sigma(inds, SocialMatrix.from_pairs(2, []))
 
     def test_all_colocated_contacts(self):
         inds = [Individual("a", 5.0, 5.0), Individual("b", 5.0, 5.0)]
-        with pytest.raises(ZeroScale):
+        with pytest.raises(DataError,
+                           match="^all contact pairs are co-located; length scale undefined$"):
             compute_sigma(inds, SocialMatrix.from_pairs(2, [(0, 1)]))
 
     def test_matches_independent_pass_on_synthetic_data(self, hollenbeck):
@@ -136,14 +134,15 @@ class TestBuildWeightMatrix:
     def test_invalid_alpha(self):
         inds = points_on_line([10.0])
         social = SocialMatrix.from_pairs(2, [])
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(DataError, match=r"^alpha must lie in \[0, 1\], got 1\.2$"):
             build_weight_matrix(inds, social, 1.2, 100.0)
 
     @pytest.mark.parametrize("sigma", [0.0, -5.0, math.inf])
     def test_invalid_sigma(self, sigma):
         inds = points_on_line([10.0])
         social = SocialMatrix.from_pairs(2, [])
-        with pytest.raises(InvalidSigma):
+        with pytest.raises(DataError,
+                           match=f"^sigma must be a positive finite length, got {sigma}$"):
             build_weight_matrix(inds, social, 0.5, sigma)
 
 

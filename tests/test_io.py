@@ -13,9 +13,6 @@ from geocluster.errors import DataError
 from geocluster.graph import Individual
 from geocluster.io import (
     DatasetFiles,
-    ParseError,
-    SelfContact,
-    UnknownId,
     load_dataset,
     load_results,
     save_dataset,
@@ -50,52 +47,53 @@ class TestLoadDataset:
 
     def test_unknown_id(self, tmp_path):
         files = write_dataset(tmp_path, ["a,0,0,", "b,1,1,"], ["a,zz"])
-        with pytest.raises(UnknownId):
+        with pytest.raises(DataError, match="^contact references unknown id 'zz'$"):
             load_dataset(files)
 
     def test_self_contact(self, tmp_path):
         files = write_dataset(tmp_path, ["a,0,0,", "b,1,1,"], ["a,a"])
-        with pytest.raises(SelfContact):
+        with pytest.raises(DataError, match="^self-contact for id 'a'$"):
             load_dataset(files)
 
     def test_bad_coordinate(self, tmp_path):
         files = write_dataset(tmp_path, ["a,zero,0,"], [])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match=r"individuals\.csv:2: bad coordinate$"):
             load_dataset(files)
 
     def test_duplicate_id(self, tmp_path):
         files = write_dataset(tmp_path, ["a,0,0,", "a,1,1,"], [])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match=r"individuals\.csv:3: duplicate id 'a'$"):
             load_dataset(files)
 
     def test_missing_column(self, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
         files.individuals_csv.write_text("id,x,y\na,0,0\n")
         files.contacts_csv.write_text("id_a,id_b\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError,
+                           match=r"individuals\.csv:1: missing required columns \['gang'\]$"):
             load_dataset(files)
 
     def test_repeated_header_column(self, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
         files.individuals_csv.write_text("id,x,y,gang,x\na,1,2,g,5\n")
         files.contacts_csv.write_text("id_a,id_b\n")
-        with pytest.raises(ParseError, match=r"individuals\.csv:1: .*\['x'\]"):
+        with pytest.raises(DataError, match=r"individuals\.csv:1: .*\['x'\]"):
             load_dataset(files)
         files = write_dataset(tmp_path, ["a,0,0,"], [])
         files.contacts_csv.write_text("id_a,id_b,id_a\n")
-        with pytest.raises(ParseError, match=r"contacts\.csv:1: "):
+        with pytest.raises(DataError, match=r"contacts\.csv:1: "):
             load_dataset(files)
 
     @pytest.mark.parametrize("row", ["b,1,1", "b,1,1,g,extra"])
     def test_ragged_individuals_row(self, tmp_path, row):
         files = write_dataset(tmp_path, ["a,0,0,", row], [])
-        with pytest.raises(ParseError, match=r"individuals\.csv:3: "):
+        with pytest.raises(DataError, match=r"individuals\.csv:3: "):
             load_dataset(files)
 
     @pytest.mark.parametrize("row", ["a", "a,b,c"])
     def test_ragged_contacts_row(self, tmp_path, row):
         files = write_dataset(tmp_path, ["a,0,0,", "b,1,1,"], ["a,b", row])
-        with pytest.raises(ParseError, match=r"contacts\.csv:3: "):
+        with pytest.raises(DataError, match=r"contacts\.csv:3: "):
             load_dataset(files)
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -107,7 +105,7 @@ class TestLoadDataset:
         files = write_dataset(tmp_path, [], [])
         lines = [b"\xef\xbb\xbfid,x,y,gang", b"a,0,0,", b"", row, b"c,2,2,"]
         files.individuals_csv.write_bytes(eol.join(lines) + eol)
-        with pytest.raises(ParseError, match=rf"individuals\.csv:4: {message}"):
+        with pytest.raises(DataError, match=rf"individuals\.csv:4: {message}"):
             load_dataset(files)
 
     @pytest.mark.parametrize("column", ["id", "gang"])
@@ -118,19 +116,19 @@ class TestLoadDataset:
         fields = {"id": "b", "x": "1", "y": "1", "gang": "g"}
         fields[column] = f'"x{brk}y"'
         files = write_dataset(tmp_path, ["a,0,0,", ",".join(fields.values())], [])
-        with pytest.raises(ParseError,
+        with pytest.raises(DataError,
                            match=r"individuals\.csv:3: line break in an id or group label"):
             load_dataset(files)
 
     @pytest.mark.parametrize("brk", ["\r", "\n", "\r\n"], ids=["cr", "lf", "crlf"])
     def test_ragged_multi_line_row_names_its_first_line(self, tmp_path, brk):
         files = write_dataset(tmp_path, ["a,0,0,", f'b,1,1,"g{brk}h",extra', "c,2,2,"], [])
-        with pytest.raises(ParseError, match=r"individuals\.csv:3: has 5 fields, not 4"):
+        with pytest.raises(DataError, match=r"individuals\.csv:3: has 5 fields, not 4"):
             load_dataset(files)
 
     def test_line_numbers_count_blank_lines(self, tmp_path):
         files = write_dataset(tmp_path, ["a,0,0,", "", "b,zero,1,"], [])
-        with pytest.raises(ParseError, match=r"individuals\.csv:4: bad coordinate"):
+        with pytest.raises(DataError, match=r"individuals\.csv:4: bad coordinate"):
             load_dataset(files)
 
     def test_byte_order_mark_and_crlf(self, tmp_path):

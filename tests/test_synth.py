@@ -10,13 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geocluster import synth
-from geocluster.errors import DataError
+from geocluster.errors import DataError, NumericalError
 from geocluster.io import DatasetFiles, save_dataset
 from geocluster.metrics import diagnostics
 from geocluster.synth import (
-    CalibrationFailure,
     GtParams,
-    InsufficientZeros,
     SynthConfig,
     generate_dataset,
     gt_equivalence_point,
@@ -30,15 +28,19 @@ from geocluster.synth import (
 from oracles import pairlist_sample_contacts, string_mask_gt_matrix
 
 
-# The first datasets of the byte-check manifest that
-# scripts/digests.py keeps, as extra pinned inputs: a generator
-# that drifts from the manifest fails here.
-MANIFEST = Path(__file__).resolve().parents[1] / "scripts" / "generator_digests.json"
-MANIFEST_PINS = [
-    (dict(n_members=e["n_members"], n_groups=e["n_groups"], seed=e["seed"]),
-     (e["individuals.csv"], e["contacts.csv"]))
-    for e in json.loads(MANIFEST.read_text())["datasets"] if e["n_members"] == 748
-][:8]
+# The byte-check manifest that scripts/digests.py keeps: the digests of the
+# CSV pair of each (n_members, n_groups, seed) it holds. A generator that
+# drifts from the manifest fails here.
+MANIFEST = {
+    (e["n_members"], e["n_groups"], e["seed"]): (e["individuals.csv"], e["contacts.csv"])
+    for e in json.loads((Path(__file__).resolve().parents[1] / "scripts"
+                         / "generator_digests.json").read_text())["datasets"]
+}
+
+
+def manifest_pin(n_members, n_groups, seed):
+    key = (n_members, n_groups, seed)
+    return dict(n_members=n_members, n_groups=n_groups, seed=seed), MANIFEST[key]
 
 
 def labels_of_sizes(sizes):
@@ -98,7 +100,7 @@ class TestGtMatrix:
 
     def test_insufficient_zeros(self):
         labels = labels_of_sizes([5])  # all pairs intra, p=1 leaves no zeros
-        with pytest.raises(InsufficientZeros):
+        with pytest.raises(DataError, match="^need 5 zero entries to flip, only 0 available$"):
             gt_matrix(labels, GtParams(p=1.0, q=0.5, seed=0))
 
     def test_params_validated(self):
@@ -123,8 +125,8 @@ class TestGtMatrix:
         params = GtParams(p=p, q=q, seed=seed)
         try:
             want = string_mask_gt_matrix(labels, params)
-        except InsufficientZeros as exc:
-            with pytest.raises(InsufficientZeros, match=str(exc)):
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc)):
                 gt_matrix(labels, params)
             return
         got = gt_matrix(labels, params)
@@ -215,24 +217,16 @@ class TestGenerateDataset:
     # Pinned digests of the CSV pair: a change to any draw of the generator
     # or to the CSV format shows here.
     @pytest.mark.parametrize("kwargs,digests", [
-        (dict(seed=18), (
-            "6b8ef6625d2e9c72246bab5fe5a759d32bdf4af02339de9fd6b1f888a5bb26ad",
-            "bc70402da42c72180e75f2325cd6229cbcf2abafc7e386f4c15b3e5dc90951c0",
-        )),
+        manifest_pin(748, 31, 18),
         (dict(n_members=120, n_groups=6, seed=7), (
             "f20cf7c08e13aa1acf5c906798a3e109e2e8bbab5ddca11d7f5d07298296f442",
             "1077955c50025f12691dff86e3b9f9b9d4b3f86710f6561e9175b73e06baa157",
         )),
         # the datasets 0 and 1 of the benchmark's `scale` workload
-        (dict(n_members=3000, n_groups=124, seed=18), (
-            "e4b18c234d1f0c10335d3da5e4bcfce83ba16e1d0a719f1bed541bf71c5d5602",
-            "de417c4b24d6f1a7096b6101687e1636eede7fcd6f465f7514847c8d2e8880d2",
-        )),
-        (dict(n_members=3000, n_groups=124, seed=1018), (
-            "e51eae25cec9830fcf6c09dec642ad7106b6a854315c4e4b09928cc8da80d2dd",
-            "748d3230fcfb4e12b5dcb89fcf1699689973953034266c9f78c882c00f249d47",
-        )),
-        *MANIFEST_PINS,
+        manifest_pin(3000, 124, 18),
+        manifest_pin(3000, 124, 1018),
+        # the first datasets of the manifest's n = 748 panel
+        *(manifest_pin(*key) for key in [key for key in MANIFEST if key[0] == 748][:8]),
     ])
     def test_dataset_bytes_are_pinned(self, kwargs, digests, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
@@ -281,7 +275,7 @@ class TestGenerateDataset:
         for n in range(4, 6001):
             try:
                 generate_dataset(SynthConfig(n_members=n, n_groups=1))
-            except CalibrationFailure as exc:
+            except NumericalError as exc:
                 assert "every draw would have mean degree" in str(exc)
                 failing.append(n)
             except PastTheCheck:
@@ -293,7 +287,7 @@ class TestGenerateDataset:
             pytest.fail("a contact draw was made")
 
         monkeypatch.setattr(synth, "_sample_contacts", no_draw)
-        with pytest.raises(CalibrationFailure) as info:
+        with pytest.raises(NumericalError, match="^even with every member active") as info:
             generate_dataset(SynthConfig(n_groups=1))
         assert str(info.value) == (
             "even with every member active, the 279378 intra-group and 0 "
@@ -302,7 +296,7 @@ class TestGenerateDataset:
 
     def test_isolate_miss_names_only_the_isolate_fraction(self, monkeypatch):
         monkeypatch.setattr(synth, "ISOLATE_FRACTION_TOL", -1.0)
-        with pytest.raises(CalibrationFailure) as info:
+        with pytest.raises(NumericalError, match="^isolate fraction target not met") as info:
             generate_dataset(SynthConfig(seed=18))
         message = str(info.value)
         assert "not met within 50 draws" in message
@@ -311,7 +305,7 @@ class TestGenerateDataset:
 
     def test_calibration_failure_names_an_unhostable_pool(self, monkeypatch):
         monkeypatch.setattr(synth, "_sample_contacts", lambda *args: None)
-        with pytest.raises(CalibrationFailure) as info:
+        with pytest.raises(NumericalError, match="^isolate fraction target not met") as info:
             generate_dataset(SynthConfig(n_members=40, n_groups=2, seed=0))
         message = str(info.value)
         assert "not met within 50 draws" in message
