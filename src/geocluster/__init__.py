@@ -16,7 +16,6 @@ from .graph import (
 )
 from .metrics import PairCounts, diagnostics, pair_counts, purity, z_rand
 from .modularity import (
-    MultisliceAssignment,
     SliceStack,
     louvain,
     modularity_score,
@@ -38,7 +37,6 @@ __all__ = [
     "pair_counts",
     "purity",
     "z_rand",
-    "MultisliceAssignment",
     "SliceStack",
     "louvain",
     "modularity_score",

@@ -31,7 +31,7 @@ from .graph import build_weight_matrix, check_alpha, compute_sigma, locations, n
 from .io import DatasetFiles, load_dataset, save_dataset, save_plot_csv, save_results
 from .metrics import contingency_table, diagnostics, purity, z_rand
 from .modularity import SliceStack, check_slice_params, multislice_louvain
-from .spectral import embed, kmeans
+from .spectral import Partition, embed, kmeans
 from .synth import GtParams, SynthConfig, generate_dataset, gt_equivalence_point, gt_matrix
 
 GT_SEED_STRIDE = 7919
@@ -400,7 +400,7 @@ def cmd_multislice(args) -> int:
 
     slices = []
     for s, gamma in enumerate(gammas):
-        part = result.slice_partition(s)
+        part = Partition.from_labels(result.assignment[:, s])
         slices.append({
             "gamma": gamma,
             "n_communities": part.k,
@@ -413,7 +413,7 @@ def cmd_multislice(args) -> int:
               "omega": args.omega, "seeds": [args.seed]}
     body = {
         "quality": result.objective,
-        "n_communities_total": result.n_communities,
+        "n_communities_total": result.k,
         "results": slices,
         "plateaus": plateaus,
         "zrand_local_maxima": local_maxima([rec["z_rand"] for rec in slices]),
@@ -424,7 +424,7 @@ def cmd_multislice(args) -> int:
              "mean": rec[metric], "std": 0.0}
             for rec in slices for metric in ("n_communities", "purity", "z_rand")],
            [f"multislice Q={result.objective:.4f}, "
-            f"{result.n_communities} communities across {len(gammas)} slices",
+            f"{result.k} communities across {len(gammas)} slices",
             f"plateaus: {plateaus}"])
     return 0
 

@@ -55,16 +55,18 @@ class SocialMatrix:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SocialMatrix":
-        """Canonical matrix from (i, j) pairs in either orientation, given as
-        an (m, 2) array or any iterable of pairs."""
+        """Canonical matrix from (i, j) integer pairs in either orientation,
+        given as an (m, 2) array or any iterable of pairs."""
         if n < 0:
             raise DataError("negative matrix size")
-        raw = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
-                         dtype=np.int64)
+        raw = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         if raw.size == 0:
             raw = raw.reshape(0, 2)
+        elif not np.issubdtype(raw.dtype, np.integer):
+            raise DataError(f"contact pairs must be integer indices, got dtype {raw.dtype}")
         elif raw.ndim != 2 or raw.shape[1] != 2:
             raise DataError(f"contact pairs must form an (m, 2) array, got shape {raw.shape}")
+        raw = raw.astype(np.int64, copy=False)
         lo, hi = raw.min(axis=1), raw.max(axis=1)
         bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
         if bad.size:

@@ -35,7 +35,6 @@ of K supervertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,30 +83,6 @@ class SliceStack:
     @property
     def n_slices(self) -> int:
         return len(self.gammas)
-
-
-@dataclass(eq=False)
-class MultisliceAssignment:
-    """Community ids per (vertex, slice); ids contiguous over the whole stack."""
-
-    assignment: np.ndarray
-    objective: float | None = None
-
-    def __post_init__(self) -> None:
-        self.assignment = np.asarray(self.assignment, dtype=int)
-        if self.assignment.ndim != 2:
-            raise DataError("assignment must be an (n, n_slices) matrix")
-        ids = np.unique(self.assignment)
-        if ids.size and (ids[0] != 0 or ids[-1] != ids.size - 1):
-            raise ValueError("community ids must be 0-based and contiguous")
-
-    @property
-    def n_communities(self) -> int:
-        return int(self.assignment.max()) + 1 if self.assignment.size else 0
-
-    def slice_partition(self, s: int) -> Partition:
-        """Per-slice view with locally contiguous ids."""
-        return Partition.from_labels(self.assignment[:, s])
 
 
 def _as_labels(partition) -> np.ndarray:
@@ -303,7 +278,7 @@ def multislice_score(stack: SliceStack, assignment) -> float:
 
 
 def multislice_louvain(stack: SliceStack, seed: int,
-                       trace: list | None = None) -> MultisliceAssignment:
+                       trace: list | None = None) -> Partition:
     """Louvain on the flattened supra-graph of n * n_slices vertices.
 
     Alternates local moves with aggregation until aggregated moves stall,
@@ -312,6 +287,8 @@ def multislice_louvain(stack: SliceStack, seed: int,
     Aggregation only relabels which supervertex each supra-vertex belongs
     to. `trace`, when a list, collects the multislice_score of the
     flattened partition after initialization and after each level.
+    Returns a Partition of (n, n_slices) ids, numbered slice by slice in
+    order of first occurrence, with the quality as its objective.
     """
     n, n_slices = stack.n, stack.n_slices
     rng = np.random.default_rng(seed)
@@ -328,6 +305,5 @@ def multislice_louvain(stack: SliceStack, seed: int,
         if not _local_phase(stack, singletons, refined, rng):
             break
         mapping = relabel_first_occurrence(refined)
-    result = MultisliceAssignment(relabel_first_occurrence(mapping).reshape(n_slices, n).T.copy())
-    result.objective = multislice_score(stack, result)
-    return result
+    assignment = relabel_first_occurrence(mapping).reshape(n_slices, n).T.copy()
+    return Partition(assignment, objective=multislice_score(stack, assignment))

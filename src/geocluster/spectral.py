@@ -37,18 +37,12 @@ class Embedding:
     coords: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
-
 
 @dataclass(eq=False)
 class Partition:
-    """Community assignment with 0-based contiguous ids, every id nonempty.
+    """Community assignment with 0-based contiguous ids, every id nonempty:
+    an (n,) vector for one graph, or an (n, n_slices) matrix for a slice
+    stack, with ids contiguous over the whole matrix.
 
     `objective` carries the quality value of the producing optimizer
     (within-cluster squared distance for k-means, modularity for Louvain)
@@ -65,16 +59,12 @@ class Partition:
 
     def __post_init__(self) -> None:
         self.assignment = np.asarray(self.assignment, dtype=int)
-        if self.assignment.ndim != 1:
-            raise ValueError("assignment must be a flat vector")
+        if self.assignment.ndim not in (1, 2):
+            raise ValueError("assignment must be an (n,) vector or an (n, n_slices) matrix")
         if self.assignment.size:
             ids = np.unique(self.assignment)
             if ids[0] != 0 or ids[-1] != ids.size - 1:
                 raise ValueError("community ids must be 0-based and contiguous")
-
-    @property
-    def n(self) -> int:
-        return self.assignment.size
 
     @property
     def k(self) -> int:
@@ -82,10 +72,11 @@ class Partition:
 
     @classmethod
     def from_labels(cls, raw, objective: float | None = None,
-                    degenerate: bool = False, convergence: dict | None = None) -> "Partition":
-        """Relabel arbitrary community ids to 0..k-1 by first occurrence."""
+                    convergence: dict | None = None) -> "Partition":
+        """Relabel arbitrary community ids of an (n,) vector to 0..k-1 by
+        first occurrence."""
         return cls(relabel_first_occurrence(np.asarray(raw)), objective=objective,
-                   degenerate=degenerate, convergence=convergence or {})
+                   convergence=convergence or {})
 
 
 def relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,6 +25,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def peak_bytes(fn, *args, **kwargs) -> int:
+    """The peak of the memory tracemalloc traces while `fn(*args, **kwargs)`
+    runs, in bytes. Modules imported on a first call count too, so a caller
+    warms them up beforehand."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(rng, n, contact_rate=0.1):

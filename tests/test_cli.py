@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import geocluster
-from geocluster import baselines, cli
+from geocluster import baselines, cli, study
 from geocluster.cli import community_summaries, find_plateaus, local_maxima, main
 from geocluster.errors import DataError
 from geocluster.io import load_results
@@ -21,6 +21,7 @@ from geocluster.modularity import louvain
 from geocluster.graph import Individual, build_weight_matrix, compute_sigma, normalize
 from geocluster.io import DatasetFiles, load_dataset, save_dataset
 
+from conftest import peak_bytes
 from oracles import naive_community_summaries
 
 
@@ -730,6 +731,37 @@ class TestReportSchema:
         assert set(report["results"][0]) == {
             "gamma", "n_communities", "purity", "z_rand", "communities",
         }
+
+
+class TestPeakMemory:
+    """Each scoring command's tracemalloc peak on the seed-18 dataset
+    (n = 748), in units of one n x n float64 array, with the study's flags
+    at `--runs 2` (`spectral` with the same k and seed, at alpha 0.4). One
+    untraced call first imports what the command imports. Each bound sits
+    just above the peak measured when it was set: spectral 2.19,
+    sweep-alpha 2.39, gt-sweep 2.35, multislice 2.78, baselines 3.24."""
+
+    @pytest.fixture(scope="class")
+    def seed18_dir(self, hollenbeck, tmp_path_factory):
+        individuals, social, _ = hollenbeck
+        out = tmp_path_factory.mktemp("seed18")
+        save_dataset(individuals, social, DatasetFiles.in_dir(out))
+        return out, len(individuals)
+
+    @pytest.mark.parametrize("command, bound", [
+        ("spectral", 2.22), ("sweep-alpha", 2.43), ("gt-sweep", 2.39),
+        ("multislice", 2.82), ("baselines", 3.28),
+    ])
+    def test_peak_in_dense_arrays(self, seed18_dir, tmp_path, command, bound):
+        dataset, n = seed18_dir
+        commands = study.commands(dataset, tmp_path)
+        commands["spectral"] = ["spectral", "--dataset", str(dataset), "--alpha", "0.4",
+                                "--k", "31", "--runs", "10", "--seed", "100",
+                                "--out", str(tmp_path / "spectral.json")]
+        argv = ["2" if prev == "--runs" else tok
+                for prev, tok in zip([None, *commands[command]], commands[command])]
+        assert main(argv) == 0
+        assert peak_bytes(main, argv) < bound * 8 * n * n
 
 
 class TestNumericalFailureExit:

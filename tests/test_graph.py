@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from geocluster.graph import (
 )
 from geocluster.metrics import intra_contact_count
 
-from conftest import random_instance, sparse_random_instance
+from conftest import peak_bytes, random_instance, sparse_random_instance
 from oracles import (
     blend_weight_matrix,
     naive_degrees,
@@ -121,12 +120,7 @@ class TestBuildWeightMatrix:
     def test_peak_memory_two_dense_arrays(self):
         n = 1500
         inds, social = sparse_random_instance(np.random.default_rng(3), n, 4 * n)
-        tracemalloc.start()
-        try:
-            build_weight_matrix(inds, social, 0.4, 800.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(build_weight_matrix, inds, social, 0.4, 800.0)
         # W plus the kernel, with a margin; separate dx, dy and blend
         # temporaries take 4 n x n arrays.
         assert peak < 2.5 * n * n * 8
@@ -325,3 +319,14 @@ class TestSocialMatrixStorage:
     def test_pairs_not_shaped_as_pairs_rejected(self):
         with pytest.raises(DataError):
             SocialMatrix.from_pairs(4, [(0, 1, 2), (1, 2, 3)])
+
+    @pytest.mark.parametrize("pairs, dtype", [
+        # An int64 cast would store (0, 1), (0, 2) and (0, 1) without a word.
+        ([(0.5, 1.7)], "float64"),
+        (np.array([[0.9, 2.2]]), "float64"),
+        ([("0", "1")], "<U1"),
+    ])
+    def test_non_integer_pairs_rejected(self, pairs, dtype):
+        with pytest.raises(DataError,
+                           match=rf"^contact pairs must be integer indices, got dtype {dtype}$"):
+            SocialMatrix.from_pairs(3, pairs)

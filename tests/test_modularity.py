@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from geocluster.errors import DataError
 from geocluster.graph import build_weight_matrix, compute_sigma, normalize
 from geocluster.modularity import (
-    MultisliceAssignment,
     SliceStack,
     louvain,
     modularity_score,
@@ -20,7 +18,7 @@ from geocluster.modularity import (
 from geocluster.spectral import Partition
 from geocluster.synth import SynthConfig, generate_dataset
 
-from conftest import random_weighted_graph
+from conftest import peak_bytes, random_weighted_graph
 from oracles import (
     exhaustive_best_modularity,
     exhaustive_best_multislice,
@@ -331,7 +329,7 @@ class TestMultisliceLouvain:
         stack = SliceStack(a, [0.5, 1.0, 1.5], omega=0.0)
         res = multislice_louvain(stack, seed=1)
         for s, gamma in enumerate((0.5, 1.0, 1.5)):
-            q_slice = modularity_score(a, res.slice_partition(s), gamma)
+            q_slice = modularity_score(a, Partition.from_labels(res.assignment[:, s]), gamma)
             q_alone = louvain(a, gamma, seed=1).objective
             assert q_slice == pytest.approx(q_alone, abs=1e-9)
 
@@ -339,7 +337,7 @@ class TestMultisliceLouvain:
         a = two_cliques(3)
         stack = SliceStack(a, [0.5, 1.0, 1.5], omega=1.0)
         res = multislice_louvain(stack, seed=2)
-        assert res.n_communities == 2
+        assert res.k == 2
         assert np.all(res.assignment == res.assignment[:, :1])
         expected = np.repeat([0, 1], 3)
         assert np.array_equal(res.assignment[:, 0], expected)
@@ -374,12 +372,7 @@ class TestMultisliceLouvain:
         n, n_slices = 300, 5
         a = random_weighted_graph(np.random.default_rng(12), n)
         stack = SliceStack(a, np.linspace(0.5, 3.0, n_slices), omega=1.0)
-        tracemalloc.start()
-        try:
-            multislice_louvain(stack, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(multislice_louvain, stack, seed=0)
         # An explicit B would be a CSR of n_slices dense n x n blocks plus
         # 2n(n_slices - 1) couplings, at 8 bytes per value and 4 per int32
         # column index. Louvain reads the stack's one adjacency instead and
@@ -454,13 +447,28 @@ class TestNetworkxCrossCheck:
         assert shortfalls.mean() <= 0.0
 
 
-class TestMultisliceAssignment:
-    def test_contiguity_enforced(self):
-        with pytest.raises(ValueError):
-            MultisliceAssignment(np.array([[0, 2], [0, 2]]))
+class TestMultislicePartition:
+    def test_contiguity_enforced_over_the_whole_matrix(self):
+        with pytest.raises(ValueError, match="0-based and contiguous"):
+            Partition(np.array([[0, 2], [0, 2]]))
+        # Each column alone is contiguous; ids count over both slices.
+        assert Partition(np.array([[0, 2], [1, 2]])).k == 3
 
-    def test_slice_partition_view(self):
-        msa = MultisliceAssignment(np.array([[0, 1], [1, 1], [0, 0]]))
-        part = msa.slice_partition(1)
-        assert isinstance(part, Partition)
-        assert part.assignment.tolist() == [0, 0, 1]
+    def test_more_than_two_axes_rejected(self):
+        with pytest.raises(ValueError, match="vector or an"):
+            Partition(np.zeros((2, 2, 2), dtype=int))
+
+    def test_slice_partition_from_a_column(self):
+        part = Partition(np.array([[0, 1], [1, 1], [0, 0]]))
+        assert Partition.from_labels(part.assignment[:, 1]).assignment.tolist() == [0, 0, 1]
+
+    def test_louvain_result_is_numbered_slice_major(self):
+        rng = np.random.default_rng(14)
+        a = random_weighted_graph(rng, 10) + np.eye(10) * 0.1
+        stack = SliceStack(a, [0.5, 1.5, 3.0, 6.0], omega=0.05)
+        res = multislice_louvain(stack, seed=5)
+        assert isinstance(res, Partition) and res.assignment.shape == (10, 4)
+        # Ids in order of first occurrence, reading slice 0 first.
+        flat = res.assignment.T.ravel()
+        assert flat[np.sort(np.unique(flat, return_index=True)[1])].tolist() == list(range(res.k))
+        assert res.objective == multislice_score(stack, res.assignment)

@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import geocluster
@@ -36,7 +35,7 @@ from geocluster.spectral import (
     spectral_cluster,
 )
 
-from conftest import random_instance, sparse_random_instance
+from conftest import peak_bytes, random_instance, sparse_random_instance
 from oracles import naive_embed, naive_lloyd
 
 
@@ -305,12 +304,7 @@ class TestPartialEigensolve:
         n = 1500
         inds, social = sparse_random_instance(np.random.default_rng(4), n, 4 * n)
         graph = build_weight_matrix(inds, social, 0.4, 800.0)
-        tracemalloc.start()
-        try:
-            embed(graph, 31)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(embed, graph, 31)
         # One n x n working array; the two-step scaling and a full
         # eigenvector matrix take about 2 n x n arrays.
         assert peak < 1.5 * n * n * 8
@@ -455,12 +449,7 @@ class TestLloydDistancePath:
         n, dim, k = 600, 600, 31
         pts = rng.normal(size=(n, dim))
         centers = pts[rng.choice(n, size=k, replace=False)]
-        tracemalloc.start()
-        try:
-            lloyd(pts, centers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lloyd, pts, centers)
         # The (n, k, dim) broadcast alone would take 31 * n * dim * 8 bytes;
         # centers[assign] plus a separate difference array take 2 * n * dim * 8.
         assert peak < 1.5 * n * dim * 8

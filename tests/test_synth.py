@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from geocluster.synth import (
     _sample_contacts,
 )
 
+from conftest import peak_bytes
 from oracles import pairlist_sample_contacts, string_mask_gt_matrix
 
 
@@ -243,12 +243,7 @@ class TestGenerateDataset:
     @staticmethod
     def _peak_bytes(config):
         np.random.default_rng(0)  # numpy imports numpy.random on first use
-        tracemalloc.start()
-        try:
-            generate_dataset(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(generate_dataset, config)
 
     def test_default_dataset_peak_memory(self):
         assert self._peak_bytes(SynthConfig(seed=18)) < 8.8e6
