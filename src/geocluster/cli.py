@@ -314,10 +314,13 @@ def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
     The grid runs in chunks of `_grid_chunk` points, each in two phases:
     first every point's W is built and embedded (scipy's OpenBLAS), keeping
     only the n x k coordinates, so each W is freed before the next is built;
-    then every k-means runs (numpy's OpenBLAS). Each OpenBLAS build keeps a
-    worker thread spinning after its calls, so alternating the two per point
-    makes the pools contend for the cores. Every RNG stream is the point's
-    own, so the order changes no result."""
+    then every k-means runs (numpy's OpenBLAS). The phasing first kept the
+    two libraries' spinning workers from contending for the cores. Now that
+    idle workers sleep at once (`OPENBLAS_THREAD_TIMEOUT`, set in the
+    package's `__init__`), embedding and clustering point by point uses the
+    same CPU but raised `sweep`'s peak RSS from 59.8 to 63.5 MB through the
+    heap's layout, so the phasing stays for memory. Every RNG stream is the
+    point's own, so the order changes no result."""
     size = _grid_chunk(len(individuals), k)
     records = []
     for start in range(0, len(grid), size):
@@ -471,11 +474,17 @@ def cmd_gt_sweep(args) -> int:
               for pi, p in enumerate(p_grid)] for qi, q in enumerate(q_list)]
     grid = [(alpha, params) for row in draws for alpha in alphas for params in row]
     out, individuals, social, labels, sigma = _load(args)
+    # The grid runs q row by q row, each alpha over the row's whole p grid,
+    # so each draw is made at its first alpha and kept only until its last.
+    kept = {}
 
     def gt_graph(alpha, params):
+        gt = kept.pop(params) if params in kept else gt_matrix(labels, params)
+        if alpha != alphas[-1]:
+            kept[params] = gt
         # The geographic kernel stays fixed: sigma comes from the observed
         # contacts even though the social matrix is swapped for GT(p, q).
-        return build_weight_matrix(individuals, gt_matrix(labels, params), alpha, sigma)
+        return build_weight_matrix(individuals, gt, alpha, sigma)
 
     records = _score_spectral(
         individuals, labels, run_config["seeds"], args.k,

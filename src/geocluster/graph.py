@@ -59,7 +59,11 @@ class SocialMatrix:
         given as an (m, 2) array or any iterable of pairs."""
         if n < 0:
             raise DataError("negative matrix size")
-        raw = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        try:
+            raw = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        except ValueError as exc:  # numpy: "... inhomogeneous shape ..."
+            raise DataError("contact pairs must form an (m, 2) array, got a ragged list "
+                            "whose pairs differ in length") from exc
         if raw.size == 0:
             raw = raw.reshape(0, 2)
         elif not np.issubdtype(raw.dtype, np.integer):

@@ -28,8 +28,9 @@ move's quality link from the slices themselves: a supervertex's rows of A,
 the strengths d (through a community x slice strength table once vertices
 are aggregated), and the copies of its members in the adjacent slices.
 Aggregation only records which supervertex each (vertex, slice) belongs
-to, so memory is the one n x n array plus O(n_slices * (n + K)) at a level
-of K supervertices.
+to, and a supervertex's rows of A are summed per slice ROW_BLOCK rows at a
+time, so memory is the one n x n array plus O(n_slices * (n + K)) at a
+level of K supervertices.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import DataError
 from .spectral import Partition, relabel_first_occurrence
 
 MOVE_GAIN_TOL = 1e-12
+ROW_BLOCK = 32  # rows of A a supervertex's link gathers at a time
 
 
 class SliceStack:
@@ -183,6 +185,23 @@ class _Supervertices:
         dst = np.concatenate((upper - n, upper))
         self.coupled = dst[np.argsort(member[src], kind="stable")]
         self.coupled_bounds = np.concatenate(([0], np.cumsum(np.bincount(member[src], minlength=k))))
+        self.block = np.empty((ROW_BLOCK + 1, n))
+
+    def _row_sum(self, v: np.ndarray) -> np.ndarray:
+        """stack.a[v].sum(axis=0) with the same bits, gathering at most
+        ROW_BLOCK + 1 rows at a time: numpy sums the rows of a C-contiguous
+        block in order, so the running sum rides along as row 0 of the next
+        block. (The indices are valid; mode="clip" lets `take` write straight
+        into the block.)"""
+        a, block = self.stack.a, self.block
+        h = min(v.size, ROW_BLOCK + 1)
+        total = np.take(a, v[:h], axis=0, out=block[:h], mode="clip").sum(axis=0)
+        for start in range(h, v.size, ROW_BLOCK):
+            part = v[start:start + ROW_BLOCK]
+            block[0] = total
+            np.take(a, part, axis=0, out=block[1:part.size + 1], mode="clip")
+            total = block[:part.size + 1].sum(axis=0)
+        return total
 
     def take_out(self, c: int) -> np.ndarray:
         stack, comm, k = self.stack, self.comm, self.k
@@ -191,11 +210,13 @@ class _Supervertices:
         s = self.slice_of[lo:hi]
         self.table[:, comm[x[0]]] -= self.strength[c]
         comm[x] = k  # its own bin, dropped by the caller
-        rows = stack.a[self.vertex_of[lo:hi]]
+        v = self.vertex_of[lo:hi]
         if self.repeats[c]:  # sum the rows of each slice before binning
             starts = np.flatnonzero(np.diff(s, prepend=-1))
-            rows = np.array([r.sum(axis=0) for r in np.split(rows, starts[1:])])
+            rows = np.array([self._row_sum(part) for part in np.split(v, starts[1:])])
             s = s[starts]
+        else:  # at most one row per slice
+            rows = stack.a[v]
         link = np.bincount(self.comm_by_slice[s].ravel(), rows.ravel(), minlength=k + 1)
         coupled = self.coupled[self.coupled_bounds[c]:self.coupled_bounds[c + 1]]
         np.add.at(link, comm[coupled], stack.omega)

@@ -20,6 +20,7 @@ from geocluster.io import load_results
 from geocluster.modularity import louvain
 from geocluster.graph import Individual, build_weight_matrix, compute_sigma, normalize
 from geocluster.io import DatasetFiles, load_dataset, save_dataset
+from geocluster.synth import gt_matrix
 
 from conftest import peak_bytes
 from oracles import naive_community_summaries
@@ -564,6 +565,22 @@ class TestGtSweep:
         # 6 (q, p) points, one gt_seed each
         assert len({(r["q"], r["p"], r["gt_seed"]) for r in records["0.4,0.8"]}) == 6
 
+    def test_each_draw_is_made_once(self, dataset_dir, tmp_path, monkeypatch):
+        seeds = []
+
+        def counting(labels, params):
+            seeds.append(params.seed)
+            return gt_matrix(labels, params)
+
+        monkeypatch.setattr("geocluster.cli.gt_matrix", counting)
+        assert main([
+            "gt-sweep", "--dataset", str(dataset_dir), "--alphas", "0.4,0.8",
+            "--p-grid", "0,0.5,1", "--q-list", "0,0.3", "--k", "6",
+            "--runs", "1", "--seed", "1", "--out", str(tmp_path / "gt.json"),
+        ]) == 0
+        # 2 alphas x 6 (q, p) points share 6 draws, made in grid order.
+        assert seeds == [1 + 7919 * i for i in range(1, 7)]
+
 
 class TestBaselinesCommand:
     def test_reports_all_three_methods(self, dataset_dir, tmp_path):
@@ -739,7 +756,7 @@ class TestPeakMemory:
     at `--runs 2` (`spectral` with the same k and seed, at alpha 0.4). One
     untraced call first imports what the command imports. Each bound sits
     just above the peak measured when it was set: spectral 2.19,
-    sweep-alpha 2.39, gt-sweep 2.35, multislice 2.78, baselines 3.24."""
+    sweep-alpha 2.39, gt-sweep 2.35, multislice 2.18, baselines 3.24."""
 
     @pytest.fixture(scope="class")
     def seed18_dir(self, hollenbeck, tmp_path_factory):
@@ -750,7 +767,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("command, bound", [
         ("spectral", 2.22), ("sweep-alpha", 2.43), ("gt-sweep", 2.39),
-        ("multislice", 2.82), ("baselines", 3.28),
+        ("multislice", 2.22), ("baselines", 3.28),
     ])
     def test_peak_in_dense_arrays(self, seed18_dir, tmp_path, command, bound):
         dataset, n = seed18_dir
@@ -859,6 +876,38 @@ class TestStudy:
                              text=True, check=True, env={**os.environ, "PYTHONPATH": self.SRC})
         assert "--out" in out.stdout and "--seed" in out.stdout
         assert "--runs" not in out.stdout
+
+
+class TestBlasThreadTimeout:
+    """`import geocluster` sets OpenBLAS's idle-worker timeout before numpy
+    loads, and keeps a value the user has set."""
+
+    # A meta-path hook records the variable when numpy is first imported.
+    CODE = """if True:
+        import os, sys
+
+        class Hook:
+            seen = "numpy never imported"
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and "numpy" not in sys.modules:
+                    Hook.seen = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+
+        sys.meta_path.insert(0, Hook())
+        import geocluster
+        print(Hook.seen)
+    """
+
+    @pytest.mark.parametrize("preset", [None, "20"])
+    def test_set_before_numpy_loads(self, preset):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = str(Path(geocluster.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        out = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == (preset or geocluster.BLAS_THREAD_TIMEOUT)
 
 
 class TestReadme:

@@ -320,6 +320,12 @@ class TestSocialMatrixStorage:
         with pytest.raises(DataError):
             SocialMatrix.from_pairs(4, [(0, 1, 2), (1, 2, 3)])
 
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1,)], [(0, 1), (1, 2, 0)]])
+    def test_ragged_pairs_rejected(self, pairs):
+        with pytest.raises(DataError, match=r"^contact pairs must form an \(m, 2\) array, "
+                                            r"got a ragged list whose pairs differ in length$"):
+            SocialMatrix.from_pairs(4, pairs)
+
     @pytest.mark.parametrize("pairs, dtype", [
         # An int64 cast would store (0, 1), (0, 2) and (0, 1) without a word.
         ([(0.5, 1.7)], "float64"),

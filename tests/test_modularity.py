@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from geocluster.errors import DataError
 from geocluster.graph import build_weight_matrix, compute_sigma, normalize
 from geocluster.modularity import (
+    ROW_BLOCK,
     SliceStack,
+    _Supervertices,
     louvain,
     modularity_score,
     multislice_louvain,
@@ -379,6 +381,28 @@ class TestMultisliceLouvain:
         # peaks near 0.38 b_bytes; building B alone peaked near 3.25.
         b_bytes = (n_slices * n * n + 2 * n * (n_slices - 1)) * 12
         assert peak < 0.5 * b_bytes
+
+    def test_peak_memory_when_the_stack_collapses_to_one_community(self):
+        # At low resolution every supra-vertex ends in one supervertex of
+        # n * n_slices members, whose link sums n rows of A per slice; all
+        # of them at once would be n_slices n x n arrays.
+        n, n_slices = 300, 5
+        a = np.random.default_rng(5).random((n, n))
+        stack = SliceStack(a, [0.1, 0.2, 0.3, 0.4, 0.5], omega=1.0)
+        assert multislice_louvain(stack, seed=0).k == 1
+        # 1.27 when set, about 1.19 of it from scoring the final partition
+        assert peak_bytes(multislice_louvain, stack, seed=0) < 1.4 * 8 * n * n
+
+    @pytest.mark.parametrize("rows", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2,
+                                      2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2, 1177])
+    def test_blocked_row_sum_is_the_gathered_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        n = 90
+        a = rng.random((n, n)) ** 6  # a wide spread of magnitudes, so order shows
+        stack = SliceStack(a, [1.0], omega=0.0)
+        links = _Supervertices(stack, np.zeros(n, dtype=int), np.zeros(1, dtype=int))
+        v = np.sort(rng.integers(0, n, rows))
+        assert np.array_equal(links._row_sum(v), stack.a[v].sum(axis=0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
