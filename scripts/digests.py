@@ -20,11 +20,19 @@ and `--check` also counts the reports whose bytes differ between the two.
 That manifest records the numpy and scipy versions and the thread counts;
 digests from other versions need not match.
 
+Study files: runs, in this process and from fixed relative paths in a
+temporary directory, `generate` of the CLI tests' 120-member dataset (the
+`dataset_dir` fixture of `tests/conftest.py`), the `scale` workload's
+`spectral` line and the study's command lines (`geocluster.study`) on it,
+and compares the sha256 of the 2 dataset CSVs and the 9 report and plot files
+with `study_digests.json`, which records the numpy and scipy versions. They
+take under a second; `tests/test_digests.py` reruns them in tier-1.
+
 A change that should keep datasets and reports byte-identical runs
 `--check`, which exits 1 on any mismatch; one that changes them on purpose
-rewrites both manifests with `--write` and says so. The report commands
-run while the rest of the panel is generated; one run takes about 71 s on
-a 2-core x86-64 container.
+rewrites the three manifests with `--write` and says so. The report
+commands run while the rest of the panel is generated; one run takes about
+49 s on a 2-core x86-64 container.
 
 Usage:
     python scripts/digests.py --check
@@ -32,7 +40,9 @@ Usage:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -47,13 +57,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402
-from geocluster.cli import build_parser  # noqa: E402
+from geocluster import study  # noqa: E402
+from geocluster.cli import build_parser, main as cli  # noqa: E402
 from geocluster.io import DatasetFiles, save_dataset  # noqa: E402
 from geocluster.synth import SynthConfig, generate_dataset  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS, WRITES_CSV  # noqa: E402
 
 DATASETS = Path(__file__).with_name("generator_digests.json")
 REPORTS = Path(__file__).with_name("report_digests.json")
+STUDY = Path(__file__).with_name("study_digests.json")
 THREADS = ("1", "2")
 
 
@@ -82,6 +94,12 @@ def workload_datasets() -> dict[SynthConfig, str]:
     return datasets
 
 
+def written(command: str, out: str) -> list[str]:
+    """The report and, for a command of WRITES_CSV, the plot CSV that
+    `command --out out` writes."""
+    return [out, out.removesuffix(".json") + ".csv"] if command in WRITES_CSV else [out]
+
+
 def report_runs() -> list[tuple[str, list[str], list[str]]]:
     """Every CLI run of the report check, in manifest order: its BLAS thread
     count, its argv and the manifest keys of the files it writes, all paths
@@ -93,10 +111,21 @@ def report_runs() -> list[tuple[str, list[str], list[str]]]:
             for threads in THREADS:
                 for index, command in enumerate(workload.commands):
                     out = f"{threads}/{workload.name}/dataset{i}/{index}-{command[0]}.json"
-                    keys = ([out, out.removesuffix(".json") + ".csv"] if command[0] in WRITES_CSV
-                            else [out])
                     runs.append((threads, [tok.format(dataset=dataset, out=out) for tok in command],
-                                 keys))
+                                 written(command[0], out)))
+    return runs
+
+
+def study_runs() -> list[tuple[list[str], list[str]]]:
+    """Every CLI run of the study-file check, in manifest order: its argv and
+    the manifest keys of the files it writes, relative to the work
+    directory."""
+    runs = [(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7", "--out", "data"],
+             ["data/individuals.csv", "data/contacts.csv"]),
+            ([tok.format(dataset="data", out="spectral.json")
+              for tok in WORKLOADS["scale"].commands[0]], ["spectral.json"])]
+    runs += [(argv, written(command, argv[-1]))
+             for command, argv in study.commands("data", ".").items()]
     return runs
 
 
@@ -129,6 +158,22 @@ def run_reports(work: Path) -> dict:
     return digests
 
 
+def study_digests(work: Path) -> dict:
+    """sha256 of every study-check file, by manifest key, each run in this
+    process with `work` as the working directory (reports embed the dataset
+    path) and its stdout dropped."""
+    home = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv, _ in study_runs():
+                if cli(argv) != 0:
+                    raise SystemExit(f"`geocluster {' '.join(argv)}` failed")
+    finally:
+        os.chdir(home)
+    return {key: sha256(work / key) for _, keys in study_runs() for key in keys}
+
+
 def run_all(work: Path) -> tuple[list[dict], dict]:
     """Manifest entries of the panel, in its order, and the report digests.
     The workloads' datasets are generated first, into their paths under
@@ -144,9 +189,12 @@ def run_all(work: Path) -> tuple[list[dict], dict]:
         return [entries[config] for config in panel()], reports.result()
 
 
+def versions() -> dict:
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
 def environment() -> dict:
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
-            "openblas_num_threads": [int(t) for t in THREADS]}
+    return {**versions(), "openblas_num_threads": [int(t) for t in THREADS]}
 
 
 def by_dataset(entries: list[dict]) -> dict:
@@ -178,13 +226,17 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
-                      help="regenerate the panel, rerun the workloads and report any mismatch")
+                      help="regenerate the panel, rerun the workloads and the study, and report "
+                           "any mismatch")
     mode.add_argument("--write", action="store_true",
-                      help="regenerate the panel, rerun the workloads and rewrite both manifests")
+                      help="regenerate the panel, rerun the workloads and the study, and rewrite "
+                           "the three manifests")
     args = parser.parse_args()
 
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "study").mkdir()
+        files = study_digests(Path(tmp) / "study")
         datasets, reports = run_all(Path(tmp))
     elapsed = time.perf_counter() - start
 
@@ -193,16 +245,20 @@ def main() -> int:
         DATASETS.write_text(f'{{"datasets": [\n{lines}\n]}}\n')
         REPORTS.write_text(json.dumps({"environment": environment(), "reports": reports},
                                       indent=1) + "\n")
-        print(f"wrote {len(datasets)} datasets to {DATASETS} and {len(reports)} digests to "
-              f"{REPORTS} in {elapsed:.1f} s")
+        STUDY.write_text(json.dumps({"environment": versions(), "files": files}, indent=1) + "\n")
+        print(f"wrote {len(datasets)} datasets to {DATASETS}, {len(reports)} digests to "
+              f"{REPORTS} and {len(files)} to {STUDY} in {elapsed:.1f} s")
         return 0
     recorded = json.loads(REPORTS.read_text())
-    if recorded["environment"] != environment():
-        print(f"note: report manifest written under {recorded['environment']}, "
-              f"this run under {environment()}")
+    recorded_study = json.loads(STUDY.read_text())
+    for path, written_under, now in ((REPORTS, recorded["environment"], environment()),
+                                     (STUDY, recorded_study["environment"], versions())):
+        if written_under != now:
+            print(f"note: {path.name} written under {written_under}, this run under {now}")
     failed = (compare("datasets", by_dataset(json.loads(DATASETS.read_text())["datasets"]),
                       by_dataset(datasets))
-              | compare("reports", recorded["reports"], reports))
+              | compare("reports", recorded["reports"], reports)
+              | compare("study files", recorded_study["files"], files))
     differ = thread_dependent(reports)
     print(f"{len(differ)} of {len(reports) // len(THREADS)} reports differ between "
           f"{' and '.join(THREADS)} BLAS threads: {', '.join(differ) or 'none'}")

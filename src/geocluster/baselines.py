@@ -5,8 +5,8 @@ normalized adjacency.
 The mixture uses full 2x2 covariances. Individuals are then assigned to the
 component with the smallest variance-normalized distance ||x - mu_i|| / s_i,
 where s_i is the square root of the mean covariance eigenvalue of component
-i (for a 2x2 matrix, trace/2); the per-component scales are kept on the fit
-object so reports can audit the rule.
+i (for a 2x2 matrix, trace/2). No report carries the per-component scales;
+a library caller reads them from the fit object (`GmmFit.scales`).
 
 EM stops once an iteration raises the mean log-likelihood per point by less
 than EM_TOL = 1e-3, the rule and default of scikit-learn's GaussianMixture.

@@ -312,15 +312,12 @@ def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
     k-means runs once per seed on its embedding; the lowest objective is best.
 
     The grid runs in chunks of `_grid_chunk` points, each in two phases:
-    first every point's W is built and embedded (scipy's OpenBLAS), keeping
-    only the n x k coordinates, so each W is freed before the next is built;
-    then every k-means runs (numpy's OpenBLAS). The phasing first kept the
-    two libraries' spinning workers from contending for the cores. Now that
-    idle workers sleep at once (`OPENBLAS_THREAD_TIMEOUT`, set in the
-    package's `__init__`), embedding and clustering point by point uses the
-    same CPU but raised `sweep`'s peak RSS from 59.8 to 63.5 MB through the
-    heap's layout, so the phasing stays for memory. Every RNG stream is the
-    point's own, so the order changes no result."""
+    first every point's W is built and embedded, keeping only the n x k
+    coordinates, so each W is freed before the next is built; then every
+    k-means runs. Embedding and clustering point by point uses the same CPU
+    but raised `sweep`'s peak RSS from 59.8 to 63.5 MB through the heap's
+    layout, so the phasing stays for memory. Every RNG stream is the point's
+    own, so the order changes no result."""
     size = _grid_chunk(len(individuals), k)
     records = []
     for start in range(0, len(grid), size):

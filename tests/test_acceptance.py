@@ -4,10 +4,12 @@ Part 1 (criteria 1-7) checks every numerical operation against an
 independent oracle: naive loops, exhaustive enumeration, or permutation
 Monte Carlo. Part 2 (criteria 8-12) reproduces the study's qualitative
 trends on the calibrated 748-member / 31-group synthetic dataset through
-the real CLI, running the command lines of `geocluster.study`; criterion
-13 runs each of them twice and compares the files. One PASS line is
-printed per criterion.
+the real CLI: it runs the command lines of `geocluster.study` and judges
+their reports with `study.judge`. Criterion 13 runs each line twice and
+compares the files. One PASS line is printed per criterion.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -32,16 +34,11 @@ from oracles import (
 )
 
 
-def report_line(num, description, passed, detail=""):
-    status = "PASS" if passed else "FAIL"
-    line = f"ACCEPTANCE {num:2d} {status} - {description}" + (f" ({detail})" if detail else "")
+def report_line(num, description, passed, detail):
+    line = f"ACCEPTANCE {num:2d} {'PASS' if passed else 'FAIL'} - {description} ({detail})"
     print(line)
     ACCEPTANCE_LINES.append(line)
     assert passed, f"criterion {num}: {description} ({detail})"
-
-
-def pooled_std(s1, s2):
-    return np.sqrt((s1**2 + s2**2) / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -248,11 +245,6 @@ def test_criterion_7_em_loglik_monotone():
 # Trend-reproduction suite on the calibrated dataset
 
 
-def snapshot(root):
-    """Every file under `root` with its bytes."""
-    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
-
-
 @pytest.fixture(scope="module")
 def study_run(tmp_path_factory):
     """`generate` and every study command, each run twice: the study's
@@ -267,7 +259,8 @@ def study_run(tmp_path_factory):
         runs = []
         for _ in range(2):
             assert main(argv) == 0, f"command failed: {argv}"
-            runs.append(snapshot(out_dir))
+            runs.append({path: path.read_bytes() for path in sorted(out_dir.rglob("*"))
+                         if path.is_file()})
         reruns[step] = runs[0] == runs[1]
     return {command: load_results(argv[-1]) for command, argv in commands.items()}, reruns
 
@@ -277,45 +270,16 @@ def reports(study_run):
     return study_run[0]
 
 
-def by_alpha(report):
-    return {rec["alpha"]: rec for rec in report["results"]}
-
-
 def test_criterion_8_alpha_sweep_purity(reports):
-    recs = by_alpha(reports["sweep-alpha"])
-    low = [recs[a] for a in (0.0, 0.2, 0.4, 0.6, 0.8)]
-    indep = all(
-        abs(a["purity_mean"] - b["purity_mean"])
-        <= 2 * pooled_std(a["purity_std"], b["purity_std"])
-        for i, a in enumerate(low)
-        for b in low[i + 1:]
-    )
-    p04, p10 = recs[0.4], recs[1.0]
-    drop = p04["purity_mean"] - p10["purity_mean"]
-    sig = drop > 2 * pooled_std(p04["purity_std"], p10["purity_std"])
-    in_band = 0.4 <= p04["purity_mean"] <= 0.75
-    report_line(8, "purity alpha-independent below 0.8 and collapses at alpha=1",
-                indep and sig and in_band and drop >= 0.1,
-                f"p(0.4)={p04['purity_mean']:.3f}, p(1.0)={p10['purity_mean']:.3f}")
+    report_line(8, *study.judge(reports)[8])
 
 
 def test_criterion_9_zrand_collapse_at_alpha_one(reports):
-    recs = by_alpha(reports["sweep-alpha"])
-    z1, z4 = recs[1.0]["zrand_mean"], recs[0.4]["zrand_mean"]
-    report_line(9, "z-Rand at alpha=1 below a tenth of the alpha=0.4 level",
-                z1 < 0.1 * z4, f"z(1.0)={z1:.1f}, z(0.4)={z4:.1f}")
+    report_line(9, *study.judge(reports)[9])
 
 
 def test_criterion_10_gmm_comparison(reports):
-    gmm = reports["baselines"]["gmm"]
-    spectral = by_alpha({"results": reports["baselines"]["spectral"]})[0.4]
-    z_ok = gmm["zrand_mean"] < spectral["zrand_mean"]
-    band = 2 * pooled_std(gmm["purity_std"], spectral["purity_std"])
-    pur_ok = abs(gmm["purity_mean"] - spectral["purity_mean"]) <= band
-    report_line(10, "GMM z-Rand below spectral while purity is comparable",
-                z_ok and pur_ok,
-                f"z {gmm['zrand_mean']:.1f} vs {spectral['zrand_mean']:.1f}, "
-                f"purity gap {abs(gmm['purity_mean'] - spectral['purity_mean']):.3f} vs band {band:.3f}")
+    report_line(10, *study.judge(reports)[10])
 
 
 def test_gmm_fits_stop_before_em_cap(reports):
@@ -326,26 +290,23 @@ def test_gmm_fits_stop_before_em_cap(reports):
 
 
 def test_criterion_11_gt_sweep_rises_with_p(reports):
-    recs = sorted(reports["gt-sweep"]["results"], key=lambda r: r["p"])
-    means = [r["purity_mean"] for r in recs]
-    inversions = sum(1 for a, b in zip(means, means[1:]) if b < a - 1e-12)
-    gain = means[-1] - means[0]
-    report_line(11, "GT sweep purity rises by >= 0.2 from p=0 to p=1, near-monotone",
-                gain >= 0.2 and inversions <= 1,
-                f"gain {gain:.3f}, inversions {inversions}, means "
-                + ",".join(f"{m:.3f}" for m in means))
+    report_line(11, *study.judge(reports)[11])
 
 
 def test_criterion_12_multislice_plateau(reports):
-    plateaus = [p for p in reports["multislice"]["plateaus"] if p["length"] >= 3]
-    maxima = reports["multislice"]["zrand_local_maxima"]
-    hit = any(
-        p["start"] - 1 <= m <= p["end"] + 1 for p in plateaus for m in maxima
-    )
-    report_line(12, "community-count plateau co-located with a z-Rand local maximum",
-                bool(plateaus) and hit,
-                f"plateaus {[(p['start'], p['end'], p['n_communities']) for p in plateaus]}, "
-                f"maxima {maxima}")
+    report_line(12, *study.judge(reports)[12])
+
+
+@pytest.mark.parametrize("criterion", range(8, 13))
+def test_trend_judge_can_fail(reports, criterion):
+    r = copy.deepcopy(reports)
+    a = study.by_alpha(r["sweep-alpha"]["results"])
+    {8: lambda: a[1.0].update(purity_mean=a[0.4]["purity_mean"]),  # loses one trend each
+     9: lambda: a[1.0].update(zrand_mean=a[0.4]["zrand_mean"]),
+     10: lambda: r["baselines"]["gmm"].update(zrand_mean=float("inf")),
+     11: lambda: [rec.update(p=1 - rec["p"]) for rec in r["gt-sweep"]["results"]],
+     12: lambda: r["multislice"].update(plateaus=[])}[criterion]()
+    assert [v[1] for v in study.judge(r).values()] == [n != criterion for n in range(8, 13)]
 
 
 def test_criterion_13_reproducibility(study_run):

@@ -1,12 +1,16 @@
-"""Every benchmark workload still runs traced. `perfbench/child.py` wraps
-the package functions a workload's `expected` set names and records one
-span per call; a traced run that fails, or that no longer calls one of
-them, breaks the benchmark. Each workload's command list runs here through
-the child on the CLI tests' 120-member dataset. `perfbench/workloads.py`
-is read, never changed."""
+"""Every benchmark workload still runs traced, and perfbench can score what
+it writes. `perfbench/child.py` wraps the package functions a workload's
+`expected` set names and records one span per call; a traced run that
+fails, or that no longer calls one of them, breaks the benchmark. So does a
+report that `perfbench/run.py` cannot score: its `quality_records` must
+find at least one record, each with 0 < purity <= 1 and a finite z-Rand,
+and a command of `WRITES_CSV` must leave its plot CSV. Each workload's
+command list runs here through the child on the CLI tests' 120-member
+dataset. `perfbench/` is read, never changed."""
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,21 +22,26 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+def _run_module():
+    """`perfbench/run.py`, which imports `child` and `workloads` from its own
+    directory."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
-WORKLOADS = _workloads()
+RUN = _run_module()
 
 
-@pytest.mark.parametrize("name", list(WORKLOADS))
+@pytest.mark.parametrize("name", list(RUN.WORKLOADS))
 def test_traced_run_calls_every_expected_function(name, dataset_dir, tmp_path):
-    workload = WORKLOADS[name]
+    workload = RUN.WORKLOADS[name]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     fired = set()
     for index, command in enumerate(workload.commands):
@@ -44,4 +53,8 @@ def test_traced_run_calls_every_expected_function(name, dataset_dir, tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         fired |= {span[0] for span in json.loads(spans.read_text())}
+        records = RUN.quality_records(json.loads(report.read_text()))
+        assert records, f"{command[0]}: no record perfbench can score"
+        assert all(0 < purity <= 1 and math.isfinite(z) for purity, z in records), records
+        assert command[0] not in RUN.WRITES_CSV or report.with_suffix(".csv").is_file()
     assert workload.expected <= fired, f"never called: {sorted(workload.expected - fired)}"
