@@ -21,18 +21,18 @@ That manifest records the numpy and scipy versions and the thread counts;
 digests from other versions need not match.
 
 Study files: runs, in this process and from fixed relative paths in a
-temporary directory, `generate` of the CLI tests' 120-member dataset (the
-`dataset_dir` fixture of `tests/conftest.py`), the `scale` workload's
-`spectral` line and the study's command lines (`geocluster.study`) on it,
-and compares the sha256 of the 2 dataset CSVs and the 9 report and plot files
-with `study_digests.json`, which records the numpy and scipy versions. They
-take under a second; `tests/test_digests.py` reruns them in tier-1.
+temporary directory, `generate` of the CLI tests' 120-member dataset and,
+on it, the `spectral` line and the study's command lines, all three named
+by `geocluster.study`, and compares the sha256 of the 2 dataset CSVs and
+the 9 report and plot files with `study_digests.json`, which records the
+numpy and scipy versions. They take under a second; `tests/test_digests.py`
+reruns them in tier-1.
 
 A change that should keep datasets and reports byte-identical runs
 `--check`, which exits 1 on any mismatch; one that changes them on purpose
 rewrites the three manifests with `--write` and says so. The report
 commands run while the rest of the panel is generated; one run takes about
-49 s on a 2-core x86-64 container.
+44 s on a 2-core x86-64 container.
 
 Usage:
     python scripts/digests.py --check
@@ -120,10 +120,9 @@ def study_runs() -> list[tuple[list[str], list[str]]]:
     """Every CLI run of the study-file check, in manifest order: its argv and
     the manifest keys of the files it writes, relative to the work
     directory."""
-    runs = [(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7", "--out", "data"],
+    runs = [(["generate", *study.TEST_DATASET, "--out", "data"],
              ["data/individuals.csv", "data/contacts.csv"]),
-            ([tok.format(dataset="data", out="spectral.json")
-              for tok in WORKLOADS["scale"].commands[0]], ["spectral.json"])]
+            (study.spectral("data", "spectral.json"), ["spectral.json"])]
     runs += [(argv, written(command, argv[-1]))
              for command, argv in study.commands("data", ".").items()]
     return runs

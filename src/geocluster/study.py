@@ -1,8 +1,9 @@
 """The study: the CLI command lines that reproduce the paper's findings on
 the calibrated dataset, and `judge`, what their reports must show
 (acceptance criteria 8-12). The acceptance gate (`tests/test_acceptance.py`)
-and `scripts/run_full_study.py` both use them. Neither the CLI nor the
-package's public API imports this module.
+and `scripts/run_full_study.py` both use them; the tests and
+`scripts/digests.py` also share its CLI test dataset and `spectral` line.
+Neither the CLI nor the package's public API imports this module.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from pathlib import Path
 
 # The calibrated dataset the findings are judged on.
 DATASET_SEED = 18
+# The `generate` flags of the CLI tests' 120-member dataset.
+TEST_DATASET = ("--n-members", "120", "--n-groups", "6", "--seed", "7")
+# k, run count and seed of every study line that runs k-means.
+RUNS = ("--k", "31", "--runs", "10", "--seed", "100")
 
 
 def generate(seed: int, out: str | Path) -> list[str]:
@@ -19,16 +24,20 @@ def generate(seed: int, out: str | Path) -> list[str]:
     return ["generate", "--preset", "hollenbeck", "--seed", str(seed), "--out", str(out)]
 
 
+def spectral(dataset: str | Path, out: str | Path) -> list[str]:
+    """The `spectral` line the checks run beside the study, at alpha 0.4."""
+    return ["spectral", "--dataset", str(dataset), "--alpha", "0.4", *RUNS, "--out", str(out)]
+
+
 def commands(dataset: str | Path, out_dir: str | Path) -> dict[str, list[str]]:
     """{command: argv} of the study on `dataset`, in run order; each writes
     its report to `<out_dir>/<command>.json`."""
-    runs = ["--k", "31", "--runs", "10", "--seed", "100"]
     flags = {
-        "sweep-alpha": ["--alphas", "0,0.2,0.4,0.6,0.8,1.0", *runs],
-        "baselines": ["--alphas", "0.4", *runs],
+        "sweep-alpha": ["--alphas", "0,0.2,0.4,0.6,0.8,1.0", *RUNS],
+        "baselines": ["--alphas", "0.4", *RUNS],
         "multislice": ["--alpha", "0.4", "--gamma-grid", "0.5:3.0:0.25", "--omega", "1.0",
                        "--seed", "77"],
-        "gt-sweep": ["--alphas", "0.8", "--p-grid", "0,0.25,0.5,0.75,1.0", "--q-list", "0", *runs],
+        "gt-sweep": ["--alphas", "0.8", "--p-grid", "0,0.25,0.5,0.75,1.0", "--q-list", "0", *RUNS],
     }
     return {command: [command, "--dataset", str(dataset), *argv,
                       "--out", str(Path(out_dir) / f"{command}.json")]

@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from geocluster.synth import SynthConfig, generate_dataset
 # default (100 examples, about 2 s on 2 cores) in the suite, and 2000 under
 # `pytest tests/test_fuzz.py --hypothesis-profile=fuzz`.
 settings.register_profile("fuzz", max_examples=2000)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # One line per acceptance criterion, echoed after the run (test_acceptance
 # fills this; capture would otherwise swallow the in-test prints).
@@ -37,6 +43,41 @@ def peak_bytes(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def load_module(path, name):
+    """The module of the file `path`, registered in `sys.modules` as `name`
+    (dataclasses look their module up there). The file's directory is on
+    `sys.path` only while it loads, for its imports of its neighbours."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
+    return module
+
+
+def manifest(name):
+    """`scripts/<name>_digests.json`, which `scripts/digests.py --write` rewrites."""
+    return json.loads((SCRIPTS / f"{name}_digests.json").read_text())
+
+
+def pinned_datasets():
+    """(SynthConfig keyword arguments, recorded sha256 of `individuals.csv`
+    and `contacts.csv`) of each dataset whose bytes `test_synth.py` pins:
+    the CLI tests' dataset against `study_digests.json`, the benchmark's
+    seed-18 datasets and the panel's first 8 against `generator_digests.json`."""
+    fields = ("n_members", "n_groups", "seed")
+    pins = {tuple(e[f] for f in fields): (e["individuals.csv"], e["contacts.csv"])
+            for e in manifest("generator")["datasets"]}
+    flags = dict(zip(study.TEST_DATASET[::2], study.TEST_DATASET[1::2]))
+    test_dataset = tuple(int(flags["--" + f.replace("_", "-")]) for f in fields)
+    files = manifest("study")["files"]
+    pins[test_dataset] = files["data/individuals.csv"], files["data/contacts.csv"]
+    keys = [(748, 31, 18), test_dataset, (3000, 124, 18), (3000, 124, 1018), *list(pins)[:8]]
+    return [(dict(zip(fields, key)), pins[key]) for key in keys]
 
 
 def random_instance(rng, n, contact_rate=0.1):
@@ -79,11 +120,10 @@ def hollenbeck():
 
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory):
-    """The CLI tests' dataset directory: 120 members in 6 groups, seed 7.
-    Tests read it; one that edits a dataset copies it first."""
+    """The CLI tests' dataset directory, `study.TEST_DATASET`: 120 members
+    in 6 groups. Tests read it; one that edits a dataset copies it first."""
     out = tmp_path_factory.mktemp("data") / "ds"
-    assert main(["generate", "--n-members", "120", "--n-groups", "6", "--seed", "7",
-                 "--out", str(out)]) == 0
+    assert main(["generate", *study.TEST_DATASET, "--out", str(out)]) == 0
     return out
 
 

@@ -43,10 +43,8 @@ class TestGenerate:
 
     def test_same_seed_identical_files(self, dataset_dir, tmp_path):
         out2 = tmp_path / "ds2"
-        assert main([
-            "generate", "--preset", "hollenbeck", "--n-members", "120",
-            "--n-groups", "6", "--seed", "7", "--out", str(out2),
-        ]) == 0
+        assert main(["generate", "--preset", "hollenbeck", *study.TEST_DATASET,
+                     "--out", str(out2)]) == 0
         for name in ("individuals.csv", "contacts.csv"):
             assert (out2 / name).read_bytes() == (dataset_dir / name).read_bytes()
 
@@ -537,30 +535,28 @@ class TestGtSweep:
         assert rec["purity_mean"] >= 0.95
         assert 0.0 < report["equivalence_p"] < 1.0
 
-    def test_record_per_grid_point(self, dataset_dir, tmp_path):
-        out = tmp_path / "gt.json"
+    @staticmethod
+    def grid_records(dataset_dir, out, alphas, runs="1", seed="1"):
+        """The records of gt-sweep over 3 p values and 2 q values."""
         assert main([
-            "gt-sweep", "--dataset", str(dataset_dir), "--alphas", "0.4,0.8",
+            "gt-sweep", "--dataset", str(dataset_dir), "--alphas", alphas,
             "--p-grid", "0,0.5,1", "--q-list", "0,0.3", "--k", "6",
-            "--runs", "1", "--seed", "1", "--out", str(out),
+            "--runs", runs, "--seed", seed, "--out", str(out),
         ]) == 0
-        report = load_results(out)
-        assert len(report["results"]) == 2 * 3 * 2
-        keys = [(r["q"], r["alpha"], r["p"]) for r in report["results"]]
+        return load_results(out)["results"]
+
+    def test_record_per_grid_point(self, dataset_dir, tmp_path):
+        records = self.grid_records(dataset_dir, tmp_path / "gt.json", "0.4,0.8")
+        assert len(records) == 2 * 3 * 2
+        keys = [(r["q"], r["alpha"], r["p"]) for r in records]
         assert keys == sorted(keys)
 
     def test_draw_does_not_depend_on_the_alphas(self, dataset_dir, tmp_path):
         # Each GT(p, q) draw is seeded by its (q, p) position alone, so every
         # alpha scores the same matrix and adding an alpha changes no record.
-        records = {}
-        for alphas in ("0.8", "0.4,0.8"):
-            out = tmp_path / f"gt-{alphas}.json"
-            assert main([
-                "gt-sweep", "--dataset", str(dataset_dir), "--alphas", alphas,
-                "--p-grid", "0,0.5,1", "--q-list", "0,0.3", "--k", "6",
-                "--runs", "2", "--seed", "3", "--out", str(out),
-            ]) == 0
-            records[alphas] = load_results(out)["results"]
+        records = {alphas: self.grid_records(dataset_dir, tmp_path / f"gt-{alphas}.json",
+                                             alphas, runs="2", seed="3")
+                   for alphas in ("0.8", "0.4,0.8")}
         assert [r for r in records["0.4,0.8"] if r["alpha"] == 0.8] == records["0.8"]
         # 6 (q, p) points, one gt_seed each
         assert len({(r["q"], r["p"], r["gt_seed"]) for r in records["0.4,0.8"]}) == 6
@@ -573,13 +569,27 @@ class TestGtSweep:
             return gt_matrix(labels, params)
 
         monkeypatch.setattr("geocluster.cli.gt_matrix", counting)
-        assert main([
-            "gt-sweep", "--dataset", str(dataset_dir), "--alphas", "0.4,0.8",
-            "--p-grid", "0,0.5,1", "--q-list", "0,0.3", "--k", "6",
-            "--runs", "1", "--seed", "1", "--out", str(tmp_path / "gt.json"),
-        ]) == 0
+        self.grid_records(dataset_dir, tmp_path / "gt.json", "0.4,0.8")
         # 2 alphas x 6 (q, p) points share 6 draws, made in grid order.
         assert seeds == [1 + 7919 * i for i in range(1, 7)]
+
+    @pytest.mark.parametrize("alphas, most", [("0.8", 1), ("0.4,0.8", 3)])
+    def test_each_draw_is_kept_only_until_its_last_alpha(self, dataset_dir, tmp_path,
+                                                          monkeypatch, alphas, most):
+        # One alpha scores each draw as it is made; with two, a q row's 3
+        # draws wait for the second alpha, and no draw outlives its row.
+        alive, counts = set(), []
+
+        def tracked(labels, params):
+            gt = gt_matrix(labels, params)
+            alive.add(params.seed)
+            weakref.finalize(gt, alive.discard, params.seed)
+            counts.append(len(alive))
+            return gt
+
+        monkeypatch.setattr("geocluster.cli.gt_matrix", tracked)
+        self.grid_records(dataset_dir, tmp_path / "gt.json", alphas)
+        assert len(counts) == 6 and max(counts) == most
 
 
 class TestBaselinesCommand:
@@ -772,9 +782,7 @@ class TestPeakMemory:
     def test_peak_in_dense_arrays(self, seed18_dir, tmp_path, command, bound):
         dataset, n = seed18_dir
         commands = study.commands(dataset, tmp_path)
-        commands["spectral"] = ["spectral", "--dataset", str(dataset), "--alpha", "0.4",
-                                "--k", "31", "--runs", "10", "--seed", "100",
-                                "--out", str(tmp_path / "spectral.json")]
+        commands["spectral"] = study.spectral(dataset, tmp_path / "spectral.json")
         argv = ["2" if prev == "--runs" else tok
                 for prev, tok in zip([None, *commands[command]], commands[command])]
         assert main(argv) == 0
@@ -926,6 +934,12 @@ class TestReadme:
         parser = cli.build_parser()
         for argv in lines:
             parser.parse_args(argv)
+
+    def test_library_example_runs(self, capsys):
+        block = self.TEXT.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1]
+        exec(block.split("```", 1)[0], {})
+        purity, z = map(float, capsys.readouterr().out.split())
+        assert 0 < purity <= 1 and np.isfinite(z)
 
     def test_readme_and_parser_name_the_same_flags(self):
         [sub] = [action for action in cli.build_parser()._actions

@@ -8,7 +8,6 @@ and a command of `WRITES_CSV` must leave its plot CSV. Each workload's
 command list runs here through the child on the CLI tests' 120-member
 dataset. `perfbench/` is read, never changed."""
 
-import importlib.util
 import json
 import math
 import os
@@ -18,25 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_module
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-def _run_module():
-    """`perfbench/run.py`, which imports `child` and `workloads` from its own
-    directory."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return module
-
-
-RUN = _run_module()
+RUN = load_module(PERFBENCH / "run.py", "perfbench_run")
 
 
 @pytest.mark.parametrize("name", list(RUN.WORKLOADS))

@@ -1,7 +1,10 @@
+"""The generator against closed forms and naive oracles, and the bytes of
+12 generated datasets against the manifests of `scripts/digests.py`, the
+digests' one home; `tests/test_digests.py` regenerates the benchmark's
+other datasets."""
+
 import dataclasses
 import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,23 +27,8 @@ from geocluster.synth import (
     _sample_contacts,
 )
 
-from conftest import peak_bytes
+from conftest import peak_bytes, pinned_datasets
 from oracles import pairlist_sample_contacts, string_mask_gt_matrix
-
-
-# The byte-check manifest that scripts/digests.py keeps: the digests of the
-# CSV pair of each (n_members, n_groups, seed) it holds. A generator that
-# drifts from the manifest fails here.
-MANIFEST = {
-    (e["n_members"], e["n_groups"], e["seed"]): (e["individuals.csv"], e["contacts.csv"])
-    for e in json.loads((Path(__file__).resolve().parents[1] / "scripts"
-                         / "generator_digests.json").read_text())["datasets"]
-}
-
-
-def manifest_pin(n_members, n_groups, seed):
-    key = (n_members, n_groups, seed)
-    return dict(n_members=n_members, n_groups=n_groups, seed=seed), MANIFEST[key]
 
 
 def labels_of_sizes(sizes):
@@ -214,20 +202,9 @@ class TestGenerateDataset:
         names = [f.name for f in dataclasses.fields(SynthConfig)]
         assert names == ["n_members", "n_groups", "seed"]
 
-    # Pinned digests of the CSV pair: a change to any draw of the generator
-    # or to the CSV format shows here.
-    @pytest.mark.parametrize("kwargs,digests", [
-        manifest_pin(748, 31, 18),
-        (dict(n_members=120, n_groups=6, seed=7), (
-            "f20cf7c08e13aa1acf5c906798a3e109e2e8bbab5ddca11d7f5d07298296f442",
-            "1077955c50025f12691dff86e3b9f9b9d4b3f86710f6561e9175b73e06baa157",
-        )),
-        # the datasets 0 and 1 of the benchmark's `scale` workload
-        manifest_pin(3000, 124, 18),
-        manifest_pin(3000, 124, 1018),
-        # the first datasets of the manifest's n = 748 panel
-        *(manifest_pin(*key) for key in [key for key in MANIFEST if key[0] == 748][:8]),
-    ])
+    # A change to any draw of the generator or to the CSV format shows here,
+    # until `python scripts/digests.py --write` rewrites the manifests.
+    @pytest.mark.parametrize("kwargs,digests", pinned_datasets())
     def test_dataset_bytes_are_pinned(self, kwargs, digests, tmp_path):
         files = DatasetFiles.in_dir(tmp_path)
         save_dataset(*generate_dataset(SynthConfig(**kwargs)), files)
