@@ -312,8 +312,9 @@ def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
     k-means runs once per seed on its embedding; the lowest objective is best.
 
     The grid runs in chunks of `_grid_chunk` points, each in two phases:
-    first every point's W is built and embedded, keeping only the n x k
-    coordinates, so each W is freed before the next is built; then every
+    first every point's W is built and embedded in its own array, keeping
+    only the n x k coordinates, so each W is freed before the next is built
+    (no caller reads a W after its embed); then every
     k-means runs. Embedding and clustering point by point uses the same CPU
     but raised `sweep`'s peak RSS from 59.8 to 63.5 MB through the heap's
     layout, so the phasing stays for memory. Every RNG stream is the point's
@@ -322,7 +323,7 @@ def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
     records = []
     for start in range(0, len(grid), size):
         chunk = grid[start:start + size]
-        held = [embed(build(), k).coords for _, build in chunk]
+        held = [embed(build(), k, overwrite=True).coords for _, build in chunk]
         for (lead, _), coords in zip(chunk, held):
             records.append(_score_runs(individuals, labels, seeds, lead,
                                        [kmeans(coords, k, seed) for seed in seeds], np.argmin))

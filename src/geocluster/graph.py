@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DataError
 
+ROW_BLOCK = 64  # rows of an n x n array a blocked pass writes at a time
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -168,24 +170,31 @@ def build_weight_matrix(
         raise DataError(f"sigma must be a positive finite length, got {sigma}")
     xy = locations(individuals)
     x, y = xy[:, 0:1], xy[:, 1:2]
-    # Each step writes into an existing n x n array, in the float operations
-    # and order of exp(-(dx*dx + dy*dy) / sigma^2), so at most two n x n
-    # arrays are alive at once.
-    kernel = x - x.T
-    kernel *= kernel
-    dy2 = y - y.T
-    dy2 *= dy2
-    kernel += dy2
-    del dy2
-    kernel /= -(sigma * sigma)
-    np.exp(kernel, out=kernel)
+    # The kernel and the blend are written into S's own array ROW_BLOCK rows
+    # at a time, in the float operations and order of
+    # exp(-(dx*dx + dy*dy) / sigma^2), so W is the one n x n array alive.
+    # The two block buffers are allocated once and freed together: blocks
+    # allocated afresh in each pass stay in malloc's heap, which raised the
+    # process's peak RSS by 1 MB at n = 3000.
     w = social.to_dense()
-    w -= kernel
-    w *= alpha
-    w += kernel
-    # Both terms are bounded by 1 in exact arithmetic; clamp the <=1ulp
-    # float overshoot so the [0, 1] range holds exactly.
-    np.minimum(w, 1.0, out=w)
+    buffers = np.empty((2, ROW_BLOCK, len(w)))
+    for lo in range(0, len(w), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        blend = w[rows]
+        kernel, dy2 = buffers[:, :len(blend)]
+        np.subtract(x[rows], x.T, out=kernel)
+        kernel *= kernel
+        np.subtract(y[rows], y.T, out=dy2)
+        dy2 *= dy2
+        kernel += dy2
+        kernel /= -(sigma * sigma)
+        np.exp(kernel, out=kernel)
+        blend -= kernel
+        blend *= alpha
+        blend += kernel
+        # Both terms are bounded by 1 in exact arithmetic; clamp the <=1ulp
+        # float overshoot so the [0, 1] range holds exactly.
+        np.minimum(blend, 1.0, out=blend)
     np.fill_diagonal(w, 1.0)
     return GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=alpha, sigma=sigma)
 

@@ -67,7 +67,8 @@ class SliceStack:
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(adjacency, adjacency.T, out=self.a)
         self.a *= 0.5  # the same bits as 0.5 * (a + a.T)
-        if not np.isfinite(self.a).all():
+        # min and max, not an n x n isfinite mask: either is NaN if any entry is.
+        if self.a.size and not (np.isfinite(self.a.min()) and np.isfinite(self.a.max())):
             raise DataError("the adjacency has a non-finite weight")
         self.d = self.a.sum(axis=1)
         self.twom = float(self.d.sum())

@@ -5,11 +5,12 @@ functions. They are computed through the symmetric similarity transform
 M = D^-1/2 W D^-1/2 (v = D^-1/2 u for each symmetric eigenvector u), so a
 symmetric eigensolver suffices and all eigenvalues are real. Only the k
 leading pairs are solved for, by LAPACK's MRRR subset routine dsyevr, on one
-n x n working array beside W; the whole spectrum is solved, by dsyevd, only
-when rounding ties make LAPACK return fewer than k. Both routines are called
-through scipy's own f2py binding, the module `scipy.linalg.lapack`
-re-exports, loaded without importing the `scipy.linalg` package (see
-`_lapack`).
+n x n working array: a fresh one beside W, or W's own array when the caller
+passes `overwrite`. The whole spectrum is solved, by dsyevd in that same
+array, only when rounding ties make LAPACK return fewer than k. Both
+routines are called through scipy's own f2py binding, the module
+`scipy.linalg.lapack` re-exports, loaded without importing the
+`scipy.linalg` package (see `_lapack`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import GeoSocialGraph, normalize
+from .graph import ROW_BLOCK, GeoSocialGraph, normalize
 
 KMEANS_MAX_ITER = 300
 
@@ -86,54 +87,73 @@ def relabel_first_occurrence(raw: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def embed(graph: GeoSocialGraph, k: int) -> Embedding:
-    """Leading k eigenpairs of D^-1 W via the symmetric transform."""
+def embed(graph: GeoSocialGraph, k: int, overwrite: bool = False) -> Embedding:
+    """Leading k eigenpairs of D^-1 W via the symmetric transform.
+
+    D^-1/2 W D^-1/2 is formed in a fresh n x n array, which LAPACK then
+    overwrites. With `overwrite` it is formed in graph.W's own array
+    instead, which afterwards holds no meaningful values: for callers whose
+    W is dead after the embed. Both give the same bits."""
     n = graph.n
     if not (1 <= k <= n):
         raise DataError(f"embedding dimension k={k} outside [1, {n}]")
     normalize(graph)  # strength validation only
     root = np.sqrt(graph.d)
-    vals, vecs = _scaled_eigh(graph.W, root, subset_by_index=[n - k, n - 1])
+    a = _scaled(graph.W, root, graph.W if overwrite else np.empty((n, n)))
+    diagonal = a.diagonal().copy()
+    vals, vecs = _eigh(a, n - k)
     if vals.size < k:
         # LAPACK's bisection returns fewer pairs than asked for when rounding
         # ties a cluster of eigenvalues across index n - k (at alpha = 1,
         # eigenvalue 1 repeats once per connected component). Its documented
         # cure: solve the whole spectrum (divide and conquer; MRRR is several
-        # times slower on such clusters) and keep the top k.
-        vals, vecs = _scaled_eigh(graph.W, root)
+        # times slower on such clusters) and keep the top k. dsyevr destroyed
+        # the diagonal and the upper triangle of `a` (the lower one of its
+        # Fortran view) and left the strict lower triangle, which rebuilds it.
+        for i in range(n - 1):
+            a[i, i + 1:] = a[i + 1:, i]
+        np.fill_diagonal(a, diagonal)
+        vals, vecs = _eigh(a)
         vals, vecs = vals[n - k:], vecs[:, n - k:]
     coords = vecs[:, ::-1] / root[:, None]
     return Embedding(coords=coords, eigenvalues=vals[::-1])
 
 
-def _scaled_eigh(w: np.ndarray, root: np.ndarray,
-                 subset_by_index: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of D^-1/2 W D^-1/2 on one n x n working array.
+def _scaled(w: np.ndarray, root: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out` set to w / np.outer(root, root), bit for bit, ROW_BLOCK rows at
+    a time; `out` may be `w` itself. A non-finite entry raises the
+    ValueError of np.asarray_chkfinite, which scipy's eigh raises."""
+    for lo in range(0, len(w), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        block = np.divide(w[rows], np.outer(root[rows], root), out=out[rows])
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise ValueError("array must not contain infs or NaNs")
+    return out
 
-    With `subset_by_index` [lo, hi], the pairs lo..hi (0-based, inclusive)
-    from LAPACK's subset routine dsyevr, which may return fewer when rounding
-    ties a cluster of eigenvalues across lo; without it, the whole spectrum
-    from dsyevd. The calls are those `scipy.linalg.eigh` makes for
-    `subset_by_index=[lo, hi]` and for `driver="evd"`: lower triangle, the
-    workspace sizes LAPACK's own query returns (a smaller workspace changes
-    the blocking and so the rounding), and the same checks, so the eigenpairs
-    are bit-identical to eigh's. A non-finite matrix raises eigh's
-    ValueError, and a LAPACK failure raises NumericalError.
+
+def _eigh(a: np.ndarray, lo: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the exactly symmetric C-ordered array `a`,
+    solved in `a`'s own memory, which LAPACK overwrites.
+
+    With `lo`, the pairs lo..n-1 (0-based) from LAPACK's subset routine
+    dsyevr, which may return fewer when rounding ties a cluster of
+    eigenvalues across lo; without it, the whole spectrum from dsyevd. The
+    calls are those `scipy.linalg.eigh` makes for `subset_by_index=[lo,
+    n - 1]` and for `driver="evd"`: lower triangle, the workspace sizes
+    LAPACK's own query returns (a smaller workspace changes the blocking and
+    so the rounding), and the same checks, so the eigenpairs are
+    bit-identical to eigh's. A LAPACK failure raises NumericalError.
     """
-    sym = np.outer(root, root)
-    np.divide(w, sym, out=sym)
-    np.asarray_chkfinite(sym)
-    # sym is exactly symmetric, so its F-ordered view sym.T is the same
-    # matrix and LAPACK overwrites it in place instead of copying.
-    lapack, a, n = _lapack(), sym.T, sym.shape[0]
-    if subset_by_index is None:
+    # `a` is symmetric, so its F-ordered view a.T is the same matrix and
+    # LAPACK overwrites it in place instead of copying.
+    lapack, n = _lapack(), len(a)
+    if lo is None:
         lwork, liwork = _workspace(lapack.dsyevd_lwork, n, compute_v=1, lower=1)
-        return tuple(_checked(lapack.dsyevd, a, compute_v=1, lower=1, lwork=lwork,
+        return tuple(_checked(lapack.dsyevd, a.T, compute_v=1, lower=1, lwork=lwork,
                               liwork=liwork, overwrite_a=1))
-    lo, hi = subset_by_index
     lwork, liwork = _workspace(lapack.dsyevr_lwork, n, lower=1)
-    vals, vecs, m, _ = _checked(lapack.dsyevr, a, compute_v=1, range="I", lower=1,
-                                il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork, overwrite_a=1)
+    vals, vecs, m, _ = _checked(lapack.dsyevr, a.T, compute_v=1, range="I", lower=1,
+                                il=lo + 1, iu=n, lwork=lwork, liwork=liwork, overwrite_a=1)
     return vals[:m], vecs[:, :m]
 
 

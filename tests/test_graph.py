@@ -117,13 +117,24 @@ class TestBuildWeightMatrix:
         pts = [(p.x, p.y) for p in inds]
         assert np.array_equal(got, blend_weight_matrix(pts, social.to_dense(), alpha, 650.0))
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_row_blocks_bit_identical_to_vectorized_blend(self, n):
+        # Sizes around the 64-row blocks W is built in.
+        rng = np.random.default_rng(n)
+        inds, social = sparse_random_instance(rng, n, 2 * n)
+        pts = [(p.x, p.y) for p in inds]
+        for alpha in (0.0, 0.4, 1.0):
+            got = build_weight_matrix(inds, social, alpha, 650.0)
+            want = blend_weight_matrix(pts, naive_social_dense(n, social.pairs), alpha, 650.0)
+            assert got.W.tobytes() == want.tobytes()
+
     def test_peak_memory_two_dense_arrays(self):
         n = 1500
         inds, social = sparse_random_instance(np.random.default_rng(3), n, 4 * n)
         peak = peak_bytes(build_weight_matrix, inds, social, 0.4, 800.0)
-        # W plus the kernel, with a margin; separate dx, dy and blend
-        # temporaries take 4 n x n arrays.
-        assert peak < 2.5 * n * n * 8
+        # W and 64-row blocks of the kernel, 1.09 n x n arrays when set; a
+        # full-size kernel beside W takes 2.
+        assert peak < 1.12 * n * n * 8
 
     def test_invalid_alpha(self):
         inds = points_on_line([10.0])

@@ -26,7 +26,8 @@ from geocluster.spectral import (
     KMEANS_MAX_ITER,
     Partition,
     _assigned_sq_dist,
-    _scaled_eigh,
+    _eigh,
+    _scaled,
     embed,
     kmeans,
     kmeans_pp_init,
@@ -37,6 +38,21 @@ from geocluster.spectral import (
 
 from conftest import peak_bytes, random_instance, sparse_random_instance
 from oracles import naive_embed, naive_lloyd
+
+# Bound on embed's tracemalloc peak beyond W at n = 1500, in n x n arrays,
+# in either mode: normalize's D^-1 W, the n x k eigenvectors and LAPACK's
+# workspace.
+BEYOND_W = 1.1  # 1.05 in both modes when set
+
+
+def scaled(w, root):
+    """D^-1/2 W D^-1/2 in a fresh array, as embed forms it."""
+    return _scaled(w, root, np.empty(w.shape))
+
+
+def copy_graph(graph):
+    """`graph` with its own copy of W, for an embed that overwrites it."""
+    return GeoSocialGraph(W=graph.W.copy(), d=graph.d, alpha=graph.alpha, sigma=graph.sigma)
 
 
 def blob_individuals(rng, centers, per_blob, spread=1.0):
@@ -153,7 +169,7 @@ class TestPartialEigensolve:
         assert np.count_nonzero(vals > 1.0 - 1e-9) > k
         # Rounding ties make LAPACK's subset solve return no pair here for
         # k = 1 and 2, so those go through the full-spectrum fallback.
-        lapack = _scaled_eigh(graph.W, np.sqrt(graph.d), subset_by_index=[n - k, n - 1])[0].size
+        lapack = _eigh(scaled(graph.W, np.sqrt(graph.d)), n - k)[0].size
         assert (lapack < k) == (k <= 2)
         first, second = embed(graph, k), embed(graph, k)
         assert first.coords.shape == (n, k)
@@ -165,6 +181,22 @@ class TestPartialEigensolve:
         gram = first.coords.T @ (graph.d[:, None] * first.coords)
         np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
 
+    @pytest.mark.parametrize("n, alpha, k", [
+        (1, 0.4, 1), (63, 0.0, 5), (64, 0.4, 64), (65, 0.7, 31), (129, 0.9, 31), (200, 0.4, 31),
+    ])
+    def test_overwrite_is_bit_identical_and_default_keeps_w(self, n, alpha, k):
+        # Sizes around the 64-row blocks of the scaling pass.
+        inds, social = random_instance(np.random.default_rng(n), n, contact_rate=0.05)
+        graph = build_weight_matrix(inds, social, alpha, 800.0)
+        w = graph.W.copy()
+        default = embed(graph, k)
+        assert graph.W.tobytes() == w.tobytes()
+        in_place = copy_graph(graph)
+        emb = embed(in_place, k, overwrite=True)
+        assert np.array_equal(emb.coords, default.coords)
+        assert np.array_equal(emb.eigenvalues, default.eigenvalues)
+        assert n == 1 or not np.array_equal(in_place.W, w)  # it was the working array
+
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 250])
     def test_bit_identical_to_scipy_eigh(self, n):
         rng = np.random.default_rng(n)
@@ -173,41 +205,42 @@ class TestPartialEigensolve:
         root = np.sqrt(w.sum(axis=1))
         sym = w / np.outer(root, root)
         for k in sorted({k for k in (1, 2, (n + 1) // 2, n) if k <= n}):
-            subset = [n - k, n - 1]
-            mine = _scaled_eigh(w, root, subset_by_index=subset)
-            ref = scipy.linalg.eigh(sym, subset_by_index=subset)
+            mine = _eigh(scaled(w, root), n - k)
+            ref = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1])
             assert all(map(np.array_equal, mine, ref))
-        mine, ref = _scaled_eigh(w, root), scipy.linalg.eigh(sym, driver="evd")
+        mine, ref = _eigh(scaled(w, root)), scipy.linalg.eigh(sym, driver="evd")
         assert all(map(np.array_equal, mine, ref))
 
     @pytest.mark.parametrize("k", [1, 2, 10])
     def test_tied_space_bit_identical_to_scipy_eigh(self, k):
         # The instance of test_tied_leading_space: for k <= 2 the subset
-        # solve returns fewer than k pairs and embed uses the full solve.
+        # solve returns fewer than k pairs and embed uses the full solve,
+        # which in W's own array must start from the same matrix.
         inds, social = random_instance(np.random.default_rng(6), 60, contact_rate=0.01)
         graph = build_weight_matrix(inds, social, 1.0, 800.0)
         n, root = graph.n, np.sqrt(graph.d)
         sym = graph.W / np.outer(root, root)
-        subset = [n - k, n - 1]
-        mine = _scaled_eigh(graph.W, root, subset_by_index=subset)
-        ref = scipy.linalg.eigh(sym, subset_by_index=subset)
+        mine = _eigh(sym.copy(), n - k)
+        ref = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1])
         assert (mine[0].size < k) == (k <= 2)
         assert all(map(np.array_equal, mine, ref))
-        full, ref = _scaled_eigh(graph.W, root), scipy.linalg.eigh(sym, driver="evd")
+        full, ref = _eigh(sym.copy()), scipy.linalg.eigh(sym, driver="evd")
         assert all(map(np.array_equal, full, ref))
-        emb = embed(graph, k)
         solved = mine if mine[0].size == k else (full[0][n - k:], full[1][:, n - k:])
-        assert np.array_equal(emb.eigenvalues, solved[0][::-1])
-        assert np.array_equal(emb.coords, solved[1][:, ::-1] / root[:, None])
+        for emb in (embed(graph, k), embed(copy_graph(graph), k, overwrite=True)):
+            assert np.array_equal(emb.eigenvalues, solved[0][::-1])
+            assert np.array_equal(emb.coords, solved[1][:, ::-1] / root[:, None])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
+        # scipy's eigh message, whether the matrix is scaled into a fresh
+        # array or into W's own.
         w = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]])
         w[0, 2] = w[2, 0] = bad
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            _scaled_eigh(w, np.ones(3), subset_by_index=[1, 2])
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            _scaled_eigh(w, np.ones(3))
+        for overwrite in (False, True):
+            graph = GeoSocialGraph(W=w.copy(), d=np.ones(3), alpha=0.5, sigma=1.0)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                embed(graph, 2, overwrite=overwrite)
 
     @pytest.mark.parametrize("info,error,message", [
         (1, NumericalError, "dsyev[rd] returned info=1"),
@@ -232,9 +265,9 @@ class TestPartialEigensolve:
         monkeypatch.setattr(spectral, "_lapack", lambda: Failing)
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(error, match=message):
-            _scaled_eigh(w, np.ones(2), subset_by_index=[1, 1])
+            _eigh(w.copy(), 1)
         with pytest.raises(error, match=message):
-            _scaled_eigh(w, np.ones(2))
+            _eigh(w.copy())
 
     def test_scipy_linalg_usable_after_embed(self):
         # embed loads the LAPACK binding itself; a later `import scipy.linalg`
@@ -243,17 +276,18 @@ class TestPartialEigensolve:
             import sys
             import numpy as np
             from geocluster.graph import GeoSocialGraph
-            from geocluster.spectral import _scaled_eigh, embed
+            from geocluster.spectral import _eigh, embed
             rng = np.random.default_rng(3)
             a = rng.uniform(size=(40, 40))
             w = a + a.T
             graph = GeoSocialGraph(W=w, d=w.sum(axis=1), alpha=0.5, sigma=1.0)
             root = np.sqrt(graph.d)
             emb = embed(graph, 5)
-            mine = _scaled_eigh(w, root, subset_by_index=[35, 39])
+            sym = w / np.outer(root, root)
+            mine = _eigh(sym.copy(), 35)
             assert "scipy.linalg" not in sys.modules
             import scipy.linalg
-            ref = scipy.linalg.eigh(w / np.outer(root, root), subset_by_index=[35, 39])
+            ref = scipy.linalg.eigh(sym, subset_by_index=[35, 39])
             assert all(map(np.array_equal, mine, ref))
             assert np.array_equal(emb.eigenvalues, ref[0][::-1])
             assert scipy.linalg.lapack.dsyevr is sys.modules["scipy.linalg._flapack"].dsyevr
@@ -278,8 +312,8 @@ class TestPartialEigensolve:
             rng = np.random.default_rng(5)
             w = rng.random((40, 40))
             w += w.T
-            for subset in ([30, 39], None):
-                for array in spectral._scaled_eigh(w, np.sqrt(w.sum(axis=1)), subset):
+            for lo in (30, None):
+                for array in spectral._eigh(w.copy(), lo):
                     print(hashlib.sha256(array.tobytes()).hexdigest())
         """
         src = str(Path(geocluster.__file__).resolve().parents[1])
@@ -289,8 +323,7 @@ class TestPartialEigensolve:
         w = rng.random((40, 40))
         w += w.T
         want = [hashlib.sha256(array.tobytes()).hexdigest()
-                for subset in ([30, 39], None)
-                for array in _scaled_eigh(w, np.sqrt(w.sum(axis=1)), subset)]
+                for lo in (30, None) for array in _eigh(w.copy(), lo)]
         assert out.stdout.split() == ["scipy.linalg.lapack", *want]
 
     def test_package_import_leaves_scipy_linalg_unloaded(self):
@@ -305,9 +338,18 @@ class TestPartialEigensolve:
         inds, social = sparse_random_instance(np.random.default_rng(4), n, 4 * n)
         graph = build_weight_matrix(inds, social, 0.4, 800.0)
         peak = peak_bytes(embed, graph, 31)
-        # One n x n working array; the two-step scaling and a full
-        # eigenvector matrix take about 2 n x n arrays.
-        assert peak < 1.5 * n * n * 8
+        # One n x n working array (and normalize's transient D^-1 W); a
+        # full-size outer(root, root) or isfinite mask beside it goes over.
+        assert peak < BEYOND_W * n * n * 8
+
+    def test_peak_memory_in_place_holds_no_second_array(self):
+        n = 1500
+        inds, social = sparse_random_instance(np.random.default_rng(4), n, 4 * n)
+        graph = build_weight_matrix(inds, social, 0.4, 800.0)
+        peak = peak_bytes(embed, graph, 31, overwrite=True)
+        # W is the working array. What remains is normalize's D^-1 W, which
+        # the benchmark's traced runs expect embed to call.
+        assert peak < BEYOND_W * n * n * 8
 
 
 class TestKmeans:
@@ -461,7 +503,6 @@ class TestLloydDistancePath:
         assign = rng.integers(6, size=70)
         assert np.array_equal(_assigned_sq_dist(pts, centers, assign),
                               ((pts - centers[assign]) ** 2).sum(axis=1))
-
 
 class TestSpectralCluster:
     def test_two_far_groups_exactly_recovered(self):
