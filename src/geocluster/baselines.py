@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .graph import GeoSocialGraph, Individual, locations, strengths
+from .graph import GeoSocialGraph, Individual, locations, sq_dist, strengths
 from .spectral import Partition, kmeans, kmeans_pp_init
 
 EM_MAX_ITER = 500
@@ -88,8 +88,7 @@ def fit_gmm(points: np.ndarray, k: int, seed: int, max_iter: int = EM_MAX_ITER) 
     reg = COV_REG * max(variance, 1e-300)
 
     means = kmeans_pp_init(points, k, np.random.default_rng(seed))
-    d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    resp = np.eye(k)[d2.argmin(axis=1)]
+    resp = np.eye(k)[sq_dist(points[:, None, :], means[None, :, :]).argmin(axis=1)]
     weights, means, covs = _m_step(points, resp, reg)
 
     history: list[float] = []
@@ -136,7 +135,7 @@ def _floor_eigenvalues(covs: np.ndarray, floor: float) -> np.ndarray:
 
 def gmm_assign(points: np.ndarray, fit: GmmFit) -> np.ndarray:
     """Nearest component mean under the per-component scalar normalization."""
-    dist = np.linalg.norm(points[:, None, :] - fit.means[None, :, :], axis=2)
+    dist = np.sqrt(sq_dist(points[:, None, :], fit.means[None, :, :]))
     return (dist / fit.scales[None, :]).argmin(axis=1)
 
 

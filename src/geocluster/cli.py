@@ -316,9 +316,10 @@ def _score_spectral(individuals, labels, seeds, k: int, grid) -> list[dict]:
     only the n x k coordinates, so each W is freed before the next is built
     (no caller reads a W after its embed); then every
     k-means runs. Embedding and clustering point by point uses the same CPU
-    but raised `sweep`'s peak RSS from 59.8 to 63.5 MB through the heap's
-    layout, so the phasing stays for memory. Every RNG stream is the point's
-    own, so the order changes no result."""
+    but, through the heap's layout, raised the process's own peak RSS on the
+    seed-18 dataset from 52.4 to 52.7 MB (`sweep-alpha`) and from 53.1 to
+    57.6 MB (`gt-sweep`), so the phasing stays for memory. Every RNG stream
+    is the point's own, so the order changes no result."""
     size = _grid_chunk(len(individuals), k)
     records = []
     for start in range(0, len(grid), size):

@@ -9,6 +9,11 @@ their mean locations:
 with the convention S[i, i] = 1, so W has a unit diagonal. The strength
 vector d (d[i] = sum_j W[i, j], diagonal included) defines the
 row-stochastic normalized adjacency D^-1 W used downstream.
+
+The module also holds the one planar Gaussian kernel (`gaussian_block`)
+and the one squared distance (`sq_dist`) of the package: W's kernel, the
+generator's contact weights, k-means and the mixture baseline all go
+through them, so each is spelled, and rounds, one way.
 """
 
 from __future__ import annotations
@@ -146,6 +151,30 @@ def compute_sigma(individuals: Sequence[Individual], social: SocialMatrix) -> fl
     return sigma
 
 
+def gaussian_block(out: np.ndarray, scratch: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   rows: slice, cols: slice, scale: float) -> np.ndarray:
+    """Writes exp(-((x_r - x_c)^2 + (y_r - y_c)^2) / scale) of every pair
+    (r, c) of rows x cols into `out`, of shape (len(rows), len(cols)), and
+    returns it; `scratch`, of the same shape, is overwritten. The sum is
+    divided by -scale, which rounds exactly as negating it first does."""
+    np.subtract(x[rows, None], x[None, cols], out=out)
+    out *= out
+    np.subtract(y[rows, None], y[None, cols], out=scratch)
+    scratch *= scratch
+    out += scratch
+    out /= -scale
+    return np.exp(out, out=out)
+
+
+def sq_dist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances ((a - b)^2).sum(axis=-1), broadcasting
+    `a` against `b`; the difference is taken into `out` when given (it may
+    be `b`) and squared in place."""
+    diff = np.subtract(a, b, out=out)
+    diff *= diff
+    return diff.sum(axis=-1)
+
+
 def check_alpha(alpha: float) -> None:
     """The blend weight rule: alpha lies in [0, 1]."""
     if not (0.0 <= alpha <= 1.0):
@@ -168,27 +197,19 @@ def build_weight_matrix(
     check_alpha(alpha)
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise DataError(f"sigma must be a positive finite length, got {sigma}")
-    xy = locations(individuals)
-    x, y = xy[:, 0:1], xy[:, 1:2]
+    x, y = locations(individuals).T
     # The kernel and the blend are written into S's own array ROW_BLOCK rows
-    # at a time, in the float operations and order of
-    # exp(-(dx*dx + dy*dy) / sigma^2), so W is the one n x n array alive.
-    # The two block buffers are allocated once and freed together: blocks
-    # allocated afresh in each pass stay in malloc's heap, which raised the
-    # process's peak RSS by 1 MB at n = 3000.
+    # at a time, so W is the one n x n array alive. The two block buffers
+    # are allocated once and freed together: blocks allocated afresh in each
+    # pass stay in malloc's heap, which raised the process's peak RSS by
+    # 1 MB at n = 3000.
     w = social.to_dense()
     buffers = np.empty((2, ROW_BLOCK, len(w)))
     for lo in range(0, len(w), ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         blend = w[rows]
-        kernel, dy2 = buffers[:, :len(blend)]
-        np.subtract(x[rows], x.T, out=kernel)
-        kernel *= kernel
-        np.subtract(y[rows], y.T, out=dy2)
-        dy2 *= dy2
-        kernel += dy2
-        kernel /= -(sigma * sigma)
-        np.exp(kernel, out=kernel)
+        kernel, scratch = buffers[:, :len(blend)]
+        gaussian_block(kernel, scratch, x, y, rows, slice(None), sigma * sigma)
         blend -= kernel
         blend *= alpha
         blend += kernel

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import ROW_BLOCK, GeoSocialGraph, normalize
+from .graph import ROW_BLOCK, GeoSocialGraph, normalize, sq_dist
 
 KMEANS_MAX_ITER = 300
 
@@ -244,7 +244,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     proportional to its squared distance from the nearest row already drawn."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = sq_dist(points, points[chosen[0]])
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -255,7 +255,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             pool = np.setdiff1d(np.arange(n), np.array(chosen))
             nxt = int(rng.choice(pool))
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist(points, points[nxt]))
     return points[chosen].copy()
 
 
@@ -284,7 +284,9 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     for _ in range(max_iter):
         score = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
         assign = score.argmin(axis=1)
-        point_d2 = _assigned_sq_dist(points, centers, assign)
+        nearest = centers[assign]
+        point_d2 = sq_dist(points, nearest, out=nearest)
+        del nearest  # so the next step's (n, dim) gather does not meet it
         repaired = _repair_empty(points, centers, assign, point_d2, k)
         obj = float(point_d2.sum())
         assert obj <= prev_obj * (1 + 1e-12) + 1e-12, "Lloyd objective increased"
@@ -298,15 +300,6 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
         if repaired:
             _snap_uniform_clusters(points, centers, assign)
     return assign, centers, obj
-
-
-def _assigned_sq_dist(points: np.ndarray, centers: np.ndarray,
-                      assign: np.ndarray) -> np.ndarray:
-    """sum((points - centers[assign])**2, axis=1) through one (n, dim) temporary."""
-    diff = centers[assign]
-    np.subtract(points, diff, out=diff)
-    diff *= diff
-    return diff.sum(axis=1)
 
 
 def _snap_uniform_clusters(points: np.ndarray, centers: np.ndarray,
@@ -328,7 +321,8 @@ def _snap_uniform_clusters(points: np.ndarray, centers: np.ndarray,
     """
     rep = np.empty(centers.shape[0], dtype=int)
     rep[assign] = np.arange(assign.size)  # some member of each cluster
-    spread = np.bincount(assign, weights=_assigned_sq_dist(points, points[rep], assign),
+    mates = points[rep[assign]]
+    spread = np.bincount(assign, weights=sq_dist(points, mates, out=mates),
                          minlength=centers.shape[0])
     uniform = spread == 0.0
     centers[uniform] = points[rep[uniform]]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import Individual, SocialMatrix
+from .graph import Individual, SocialMatrix, gaussian_block, sq_dist
 from .metrics import diagnostics, intra_contact_count
 
 # Model constants of the calibrated generator.
@@ -186,15 +186,9 @@ def _block_weights(out: np.ndarray, act: np.ndarray, x: np.ndarray, y: np.ndarra
                    rows: slice, cols: slice, length: float) -> np.ndarray:
     """Writes act_r * act_c * exp(-(dx^2 + dy^2) / (2 length^2)) of every
     pair (r, c) of rows x cols into `out`, of shape (len(rows), len(cols))."""
-    np.subtract(x[rows, None], x[None, cols], out=out)
-    out *= out
-    dy = y[rows, None] - y[None, cols]
-    dy *= dy
-    out += dy
-    np.negative(out, out=out)
-    out /= 2.0 * length * length
-    np.exp(out, out=out)
-    out *= np.multiply(act[rows, None], act[None, cols], out=dy)
+    scratch = np.empty_like(out)
+    gaussian_block(out, scratch, x, y, rows, cols, 2.0 * length * length)
+    out *= np.multiply(act[rows, None], act[None, cols], out=scratch)
     return out
 
 
@@ -279,8 +273,7 @@ def _contested_score(xy: np.ndarray, group_of: np.ndarray, centers: np.ndarray,
     """How deep each member sits in contested ground: near 1 where the
     nearest rival territory is as close as the home one, near 0 deep in
     home turf."""
-    d2 = ((xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    d2 = d2 / (spread[None, :] ** 2)
+    d2 = sq_dist(xy[:, None, :], centers[None, :, :]) / (spread[None, :] ** 2)
     own = d2[np.arange(xy.shape[0]), group_of]
     d2[np.arange(xy.shape[0]), group_of] = np.inf
     rival = d2.min(axis=1)

@@ -12,7 +12,9 @@ from geocluster.graph import (
     build_weight_matrix,
     compute_sigma,
     contact_distances,
+    gaussian_block,
     normalize,
+    sq_dist,
 )
 from geocluster.metrics import intra_contact_count
 
@@ -149,6 +151,75 @@ class TestBuildWeightMatrix:
         with pytest.raises(DataError,
                            match=f"^sigma must be a positive finite length, got {sigma}$"):
             build_weight_matrix(inds, social, 0.5, sigma)
+
+
+def w_kernel_pipeline(x, y, rows, sigma):
+    """The W build's kernel rows as it spelled them before `gaussian_block`:
+    square, add, divide by -(sigma^2), exp."""
+    kernel = x[rows, None] - x[None, :]
+    kernel *= kernel
+    dy2 = y[rows, None] - y[None, :]
+    dy2 *= dy2
+    kernel += dy2
+    kernel /= -(sigma * sigma)
+    return np.exp(kernel)
+
+
+def generator_kernel_pipeline(x, y, rows, cols, length):
+    """The generator's contact kernel as it spelled it before
+    `gaussian_block`: square, add, negate, divide by 2 length^2, exp."""
+    out = x[rows, None] - x[None, cols]
+    out *= out
+    dy = y[rows, None] - y[None, cols]
+    dy *= dy
+    out += dy
+    np.negative(out, out=out)
+    out /= 2.0 * length * length
+    return np.exp(out)
+
+
+class TestKernels:
+    """The planar Gaussian kernel and the squared distance every module
+    shares keep the bits of the pipelines they replaced."""
+
+    @pytest.mark.parametrize("n_rows, cols", [
+        (1, slice(0, 1)), (63, slice(None)), (64, slice(None)), (65, slice(None)),
+        (64, slice(37, 151)),
+    ], ids=["1x1", "63-rows", "64-rows", "65-rows", "cols-from-37"])
+    def test_gaussian_block_bit_identical_to_both_pipelines(self, n_rows, cols):
+        rng = np.random.default_rng(n_rows)
+        x, y = rng.normal(size=(2, 160)) * 700.0 + 3.0e5
+        rows = slice(5, 5 + n_rows)
+        shape = (n_rows, len(range(160)[cols]))
+        out, scratch = np.empty(shape), np.empty(shape)
+        for sigma in (1.0, 523.7, 1234.5678):
+            got = gaussian_block(out, scratch, x, y, rows, cols, sigma * sigma)
+            assert got is out
+            assert got.tobytes() == w_kernel_pipeline(x, y, rows, sigma)[:, cols].tobytes()
+        for length in (0.5, 311.3, 977.1):
+            got = gaussian_block(out, scratch, x, y, rows, cols, 2.0 * length * length)
+            assert got.tobytes() == generator_kernel_pipeline(x, y, rows, cols, length).tobytes()
+
+    def test_sq_dist_bit_identical_to_broadcast_sum(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(70, 31)) * 40.0
+        b = rng.normal(size=(70, 31)) * 40.0
+        assert sq_dist(a, b[3]).tobytes() == ((a - b[3]) ** 2).sum(axis=-1).tobytes()
+        want = ((a - b) ** 2).sum(axis=-1)
+        assert sq_dist(a, b, out=b).tobytes() == want.tobytes()
+        # The difference was taken into `out` and squared there.
+        assert np.array_equal(b.sum(axis=-1), want)
+        xy, means = rng.normal(size=(2, 90, 2)) * 900.0
+        want = ((xy[:, None, :] - means[None, :12, :]) ** 2).sum(axis=-1)
+        assert sq_dist(xy[:, None, :], means[None, :12, :]).tobytes() == want.tobytes()
+
+    def test_sqrt_of_sq_dist_bit_identical_to_norm(self):
+        rng = np.random.default_rng(12)
+        for dim in (2, 31):
+            points, means = rng.normal(size=(2, 80, dim)) * 1.0e3
+            diff = points[:, None, :] - means[None, :9, :]
+            got = np.sqrt(sq_dist(points[:, None, :], means[None, :9, :]))
+            assert got.tobytes() == np.linalg.norm(diff, axis=2).tobytes()
 
 
 class TestNormalize:

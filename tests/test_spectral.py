@@ -19,13 +19,13 @@ from geocluster.graph import (
     build_weight_matrix,
     compute_sigma,
     normalize,
+    sq_dist,
 )
 from geocluster import spectral
 from geocluster.baselines import kmeans_columns
 from geocluster.spectral import (
     KMEANS_MAX_ITER,
     Partition,
-    _assigned_sq_dist,
     _eigh,
     _scaled,
     embed,
@@ -501,7 +501,8 @@ class TestLloydDistancePath:
         pts = rng.normal(size=(70, 5)) * 30.0
         centers = pts[:6] + rng.normal(size=(6, 5))
         assign = rng.integers(6, size=70)
-        assert np.array_equal(_assigned_sq_dist(pts, centers, assign),
+        nearest = centers[assign]
+        assert np.array_equal(sq_dist(pts, nearest, out=nearest),
                               ((pts - centers[assign]) ** 2).sum(axis=1))
 
 class TestSpectralCluster:
