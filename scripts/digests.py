@@ -24,7 +24,7 @@ Study files: runs, in this process and from fixed relative paths in a
 temporary directory, `generate` of the CLI tests' 120-member dataset and,
 on it, the `spectral` line and the study's command lines, all three named
 by `geocluster.study`, and compares the sha256 of the 2 dataset CSVs and
-the 9 report and plot files with `study_digests.json`, which records the
+the 10 report and plot files with `study_digests.json`, which records the
 numpy and scipy versions. They take under a second; `tests/test_digests.py`
 reruns them in tier-1.
 
@@ -61,7 +61,7 @@ from geocluster import study  # noqa: E402
 from geocluster.cli import build_parser, main as cli  # noqa: E402
 from geocluster.io import DatasetFiles, save_dataset  # noqa: E402
 from geocluster.synth import SynthConfig, generate_dataset  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, WRITES_CSV  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 DATASETS = Path(__file__).with_name("generator_digests.json")
 REPORTS = Path(__file__).with_name("report_digests.json")
@@ -94,10 +94,10 @@ def workload_datasets() -> dict[SynthConfig, str]:
     return datasets
 
 
-def written(command: str, out: str) -> list[str]:
-    """The report and, for a command of WRITES_CSV, the plot CSV that
-    `command --out out` writes."""
-    return [out, out.removesuffix(".json") + ".csv"] if command in WRITES_CSV else [out]
+def written(out: str) -> list[str]:
+    """The files a scoring command (any but `generate`) writes with
+    `--out out`: the report and its plot CSV."""
+    return [out, out.removesuffix(".json") + ".csv"]
 
 
 def report_runs() -> list[tuple[str, list[str], list[str]]]:
@@ -112,7 +112,7 @@ def report_runs() -> list[tuple[str, list[str], list[str]]]:
                 for index, command in enumerate(workload.commands):
                     out = f"{threads}/{workload.name}/dataset{i}/{index}-{command[0]}.json"
                     runs.append((threads, [tok.format(dataset=dataset, out=out) for tok in command],
-                                 written(command[0], out)))
+                                 written(out)))
     return runs
 
 
@@ -122,9 +122,8 @@ def study_runs() -> list[tuple[list[str], list[str]]]:
     directory."""
     runs = [(["generate", *study.TEST_DATASET, "--out", "data"],
              ["data/individuals.csv", "data/contacts.csv"]),
-            (study.spectral("data", "spectral.json"), ["spectral.json"])]
-    runs += [(argv, written(command, argv[-1]))
-             for command, argv in study.commands("data", ".").items()]
+            (study.spectral("data", "spectral.json"), written("spectral.json"))]
+    runs += [(argv, written(argv[-1])) for argv in study.commands("data", ".").values()]
     return runs
 
 

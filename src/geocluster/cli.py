@@ -1,13 +1,16 @@
 """Experiment runner.
 
 Subcommands: generate | spectral | sweep-alpha | multislice | gt-sweep |
-baselines. Every command is reproducible: the same flags and seed yield a
-byte-identical report. Run r of a multi-run command uses seed = base + r,
-and the derived seeds are echoed in the output. Grid points run in one
-process, in grid order, except that a chunk of points is embedded before
-its k-means runs (see `_score_spectral`); the linear algebra already keeps
-every core busy through BLAS. Every command writes its files before it
-prints anything, so a closed stdout (`| head`) cannot lose a report.
+baselines; `spectral --alpha a` is an alias of `sweep-alpha --alphas a`.
+Every scoring command (all but `generate`) writes a report JSON and, beside
+it, a plot CSV of the same name. Every command is reproducible: the same
+flags and seed yield byte-identical files. Run r of a multi-run command
+uses seed = base + r, and the derived seeds are echoed in the output. Grid
+points run in one process, in grid order, except that a chunk of points is
+embedded before its k-means runs (see `_score_spectral`); the linear
+algebra already keeps every core busy through BLAS. Every command writes
+its files before it prints anything, so a closed stdout (`| head`) cannot
+lose a report.
 
 Exit codes: 0 success, 2 usage error, 3 data error (bad input or an
 unusable path), 4 numerical failure. Any other exception is a bug and ends
@@ -75,10 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for the CSV pair")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("spectral", help="spectral clustering runs at one alpha")
+    p = sub.add_parser("spectral", help="spectral clustering runs at one alpha "
+                                        "(an alias of sweep-alpha)")
     _common_args(p)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.set_defaults(func=cmd_spectral)
+    p.add_argument("--alpha", dest="alphas", default="0.4", help="read as sweep-alpha's --alphas")
+    p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("sweep-alpha", help="spectral clustering over an alpha grid")
     _common_args(p)
@@ -171,15 +175,14 @@ def _check_no_nul(args) -> None:
             raise DataError(f"--{key.replace('_', '-')} {_clip(value)} holds a NUL byte")
 
 
-def _load(args, plot_csv: bool = True):
+def _load(args):
     """Inputs of a scoring command: the report path (checked, and so is the
-    path of its plot CSV when `plot_csv` is set, before the dataset is
-    read), the fully labeled dataset, its labels and sigma."""
+    path of its plot CSV, before the dataset is read), the fully labeled
+    dataset, its labels and sigma."""
     out = _out_path(args.out, directory=False)
-    if plot_csv:
-        if out.suffix == ".csv":
-            raise DataError(f"--out {out} ends in .csv, the name of its plot CSV")
-        _out_path(out.with_suffix(".csv"), directory=False, name="plot CSV")
+    if out.suffix == ".csv":
+        raise DataError(f"--out {out} ends in .csv, the name of its plot CSV")
+    _out_path(out.with_suffix(".csv"), directory=False, name="plot CSV")
     individuals, social = load_dataset(DatasetFiles.in_dir(args.dataset))
     missing = [p.id for p in individuals if p.gang is None]
     if missing:
@@ -219,20 +222,18 @@ def _run_config(args) -> dict:
             "seeds": [args.seed + r for r in range(args.runs)]}
 
 
-def _write(out: Path, args, config: dict, social, labels, body: dict, rows=None,
-           summary=()) -> None:
+def _write(out: Path, args, config: dict, social, labels, body: dict, rows, summary) -> None:
     """Write a scoring command's report to `out`: the command, its config
     (the dataset first, then `config`), the contact diagnostics, then `body`.
-    Beside it goes the plot CSV of `rows` when they are given. Only then are
-    the `summary` lines printed, and the report path last."""
+    Beside it goes the plot CSV of `rows`. Only then are the `summary` lines
+    printed, and the report path last."""
     save_results({
         "command": args.command,
         "config": {"dataset": str(args.dataset), **config},
         "diagnostics": diagnostics(social, labels).as_dict(),
         **body,
     }, out)
-    if rows is not None:
-        save_plot_csv(rows, out.with_suffix(".csv"))
+    save_plot_csv(rows, out.with_suffix(".csv"))
     for line in summary:
         print(line)
     print(f"report: {out}")
@@ -354,22 +355,6 @@ def cmd_generate(args) -> int:
     print(f"wrote {out_dir}/individuals.csv and {out_dir}/contacts.csv")
     for key, value in report.as_dict().items():
         print(f"  {key:18} {value}")
-    return 0
-
-
-def cmd_spectral(args) -> int:
-    check_alpha(args.alpha)
-    run_config = _run_config(args)
-    out, individuals, social, labels, sigma = _load(args, plot_csv=False)
-    [record] = _score_spectral(
-        individuals, labels, run_config["seeds"], args.k,
-        [({"alpha": args.alpha}, partial(build_weight_matrix, individuals, social, args.alpha,
-                                         sigma))])
-    _write(out, args, {"alpha": args.alpha, "sigma": sigma, **run_config}, social, labels,
-           {"results": [record]},
-           summary=[f"alpha={args.alpha}: purity {record['purity_mean']:.3f} "
-                    f"± {record['purity_std']:.3f}, z-Rand {record['zrand_mean']:.1f} "
-                    f"± {record['zrand_std']:.1f}"])
     return 0
 
 

@@ -9,6 +9,7 @@ from geocluster.baselines import (
     gmm_cluster,
     kmeans_columns,
 )
+from geocluster.errors import DataError
 from geocluster.graph import Individual, SocialMatrix, build_weight_matrix, locations
 from geocluster.metrics import purity
 
@@ -27,6 +28,11 @@ class TestFitGmm:
         pts = rng.normal(5.0, 2.0, size=(80, 2))
         fit = fit_gmm(pts, 1, seed=0)
         np.testing.assert_allclose(fit.means[0], pts.mean(axis=0), atol=1e-8)
+
+    @pytest.mark.parametrize("k", [0, 81])
+    def test_k_outside_point_count_rejected(self, k):
+        with pytest.raises(DataError, match=rf"^k={k} outside \[1, 80\]$"):
+            fit_gmm(np.zeros((80, 2)), k, seed=0)
 
     def test_three_tight_blobs_recovered(self):
         rng = np.random.default_rng(1)

@@ -203,9 +203,13 @@ class TestSpectralCommand:
         (["sweep-alpha", "--k", "-1"], "--k must be at least 1, got -1"),
         (["gt-sweep", "--k", "0"], "--k must be at least 1, got 0"),
         (["baselines", "--k", "0"], "--k must be at least 1, got 0"),
+        (["sweep-alpha", "--alphas", ","], "empty value list ','"),
+        (["multislice", "--gamma-grid", "1:0:0.5"], "bad grid bounds in '1:0:0.5'"),
+        (["spectral", "--alpha", "x"], "could not parse value 1 of 1 in a value list: 'x'"),
     ], ids=["spectral_alpha", "spectral_nan_alpha", "multislice_alpha", "sweep_alpha_alphas",
             "baselines_alphas", "gt_sweep_alphas", "gt_sweep_p", "gt_sweep_q", "spectral_k",
-            "sweep_alpha_k", "gt_sweep_k", "baselines_k"])
+            "sweep_alpha_k", "gt_sweep_k", "baselines_k", "sweep_alpha_empty_list",
+            "multislice_reversed_grid", "spectral_junk_alpha"])
     def test_bad_value_exits_before_load(self, dataset_dir, tmp_path, capsys, stub_load,
                                          argv, message):
         assert main([*argv, "--dataset", str(dataset_dir), "--out", str(tmp_path / "r.json")]) == 3
@@ -220,17 +224,21 @@ class TestSpectralCommand:
         assert main([*argv, "--p-grid", "0:0.99:0.01", "--q-list", "0"]) == 3
         assert "dataset load reached" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_row", [b"z,1,1," + b"g" * 140_000, b"z,1,1,\xff"],
-                             ids=["over_long_field", "non_utf8_byte"])
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"z,1,1," + b"g" * 140_000, "individuals.csv:122: "),
+        (b"z,1,1,\xff", "individuals.csv:122: "),
+        (b"z,1,1,", "error: 1 individuals lack a group label (first: 'z'); "
+                    "scoring commands need fully labeled data\n"),
+    ], ids=["over_long_field", "non_utf8_byte", "blank_gang"])
     def test_unreadable_dataset_exits_with_data_error(self, dataset_dir, tmp_path, capsys,
-                                                      bad_row):
+                                                      bad_row, message):
         good, bad = DatasetFiles.in_dir(dataset_dir), DatasetFiles.in_dir(tmp_path)
         bad.contacts_csv.write_bytes(good.contacts_csv.read_bytes())
         bad.individuals_csv.write_bytes(good.individuals_csv.read_bytes() + bad_row + b"\n")
         code = main(["spectral", "--dataset", str(tmp_path), "--k", "6", "--runs", "1",
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
-        assert "individuals.csv:122: " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "multislice", "gt-sweep",
                                          "baselines"])
@@ -242,7 +250,8 @@ class TestSpectralCommand:
         assert f"--out {out} exists and is a directory" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
+    @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "multislice", "gt-sweep",
+                                         "baselines"])
     def test_plot_csv_that_is_a_directory_fails_before_load(self, dataset_dir, tmp_path, capsys,
                                                             stub_load, command):
         csv = tmp_path / "r.csv"
@@ -252,7 +261,8 @@ class TestSpectralCommand:
         assert f"plot CSV {csv} exists and is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [csv] and list(csv.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sweep-alpha", "multislice", "gt-sweep", "baselines"])
+    @pytest.mark.parametrize("command", ["spectral", "sweep-alpha", "multislice", "gt-sweep",
+                                         "baselines"])
     def test_report_named_like_its_plot_csv_fails_before_load(self, dataset_dir, tmp_path,
                                                               capsys, stub_load, command):
         # The plot CSV would overwrite the report it was written beside.
@@ -265,7 +275,10 @@ class TestSpectralCommand:
         (["spectral", "--dataset", "{dataset}", "--out", "{tmp}/r\0.json"], "--out"),
         (["multislice", "--dataset", "{dataset}\0", "--out", "{tmp}/r.json"], "--dataset"),
         (["generate", "--out", "{tmp}/d\0s"], "--out"),
-    ], ids=["spectral_out", "multislice_dataset", "generate_out"])
+        # `spectral --alpha` is stored as sweep-alpha's `alphas`.
+        (["spectral", "--dataset", "{dataset}", "--alpha", "0.4\0", "--out", "{tmp}/r.json"],
+         "--alphas"),
+    ], ids=["spectral_out", "multislice_dataset", "generate_out", "spectral_alpha"])
     def test_nul_byte_in_a_path_is_a_data_error(self, dataset_dir, tmp_path, capsys,
                                                 monkeypatch, argv, flag):
         def no_work(*args, **kwargs):
@@ -324,6 +337,17 @@ class TestSpectralCommand:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_label_dataset_leaves_z_rand_undefined(self, dataset_dir, tmp_path, capsys):
+        individuals, social = load_dataset(DatasetFiles.in_dir(dataset_dir))
+        save_dataset([Individual(p.id, p.x, p.y, "a") for p in individuals], social,
+                     DatasetFiles.in_dir(tmp_path))
+        out = tmp_path / "r.json"
+        assert main(["spectral", "--dataset", str(tmp_path), "--k", "6", "--runs", "1",
+                     "--out", str(out)]) == 3
+        assert ("error: at alpha=0.4, seed=0, z-Rand is undefined: all individuals share one "
+                "label (" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"
         args = [
@@ -334,6 +358,16 @@ class TestSpectralCommand:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    def test_is_sweep_alpha_at_one_alpha(self, dataset_dir, tmp_path):
+        flags = ["--dataset", str(dataset_dir), "--k", "6", "--runs", "3", "--seed", "5"]
+        spectral, sweep = tmp_path / "spectral.json", tmp_path / "sweep.json"
+        assert main(["spectral", *flags, "--alpha", "0.4", "--out", str(spectral)]) == 0
+        assert main(["sweep-alpha", *flags, "--alphas", "0.4", "--out", str(sweep)]) == 0
+        assert spectral.with_suffix(".csv").read_bytes() == sweep.with_suffix(".csv").read_bytes()
+        got, want = load_results(spectral), load_results(sweep)
+        assert (got.pop("command"), want.pop("command")) == ("spectral", "sweep-alpha")
+        assert got == want
 
 
 class TestSweepAlpha:
@@ -609,6 +643,14 @@ class TestBaselinesCommand:
         for name in ("kmeans_columns", "spectral"):
             assert set(report[name][0]["runs"][0]) == TestReportSchema.RUN_KEYS
 
+    def test_k_above_n_is_a_data_error(self, dataset_dir, tmp_path, capsys):
+        # The mixture runs first, so its own k check speaks.
+        out = tmp_path / "b.json"
+        assert main(["baselines", "--dataset", str(dataset_dir), "--k", "121", "--runs", "1",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: k=121 outside [1, 120]\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("exponent", [50, 75, 76, 150, 152])
     def test_coordinates_the_mixture_cannot_represent(self, dataset_dir, tmp_path, capsys,
                                                       exponent):
@@ -676,12 +718,12 @@ class TestReportSchema:
     RUN_CONFIG = ["sigma", "k", "runs", "seeds"]
     # Plot CSV rows beside each command's report under the flags below:
     # two metrics per scored record, three per multislice slice.
-    CSV_ROWS = {"spectral": None, "sweep-alpha": 4, "gt-sweep": 2, "baselines": 6,
+    CSV_ROWS = {"spectral": 2, "sweep-alpha": 4, "gt-sweep": 2, "baselines": 6,
                 "multislice": 6}
 
     @pytest.mark.parametrize("argv, report_keys, config_keys", [
         (("spectral", "--alpha", "0.4", *RUN_FLAGS),
-         HEADER + ["results"], ["dataset", "alpha"] + RUN_CONFIG),
+         HEADER + ["results"], ["dataset", "alphas"] + RUN_CONFIG),
         (("sweep-alpha", "--alphas", "0.5,0", *RUN_FLAGS),
          HEADER + ["results"], ["dataset", "alphas"] + RUN_CONFIG),
         (("gt-sweep", "--alphas", "0.8", "--p-grid", "0.5", "--q-list", "0", *RUN_FLAGS),
@@ -704,13 +746,9 @@ class TestReportSchema:
         assert list(report["config"]) == config_keys
         assert report["command"] == argv[0]
         assert report["config"]["dataset"] == str(dataset_dir)
-        csv_rows = self.CSV_ROWS[argv[0]]
-        if csv_rows is None:
-            assert not out.with_suffix(".csv").exists()
-        else:
-            lines = out.with_suffix(".csv").read_text().splitlines()
-            assert lines[0] == "param,value,metric,mean,std"
-            assert len(lines) == 1 + csv_rows
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert lines[0] == "param,value,metric,mean,std"
+        assert len(lines) == 1 + self.CSV_ROWS[argv[0]]
 
     def test_spectral_record_keys(self, dataset_dir, tmp_path):
         out = tmp_path / "r.json"

@@ -53,7 +53,8 @@ COMMON = {"--dataset": DATASETS, "--k": KS, "--runs": RUNS, "--seed": SEEDS, "--
 FLAGS = {
     "generate": {"--preset": ["hollenbeck", "other", ""], "--n-members": MEMBERS,
                  "--n-groups": GROUPS, "--seed": SEEDS, "--out": OUTS},
-    "spectral": {**COMMON, "--alpha": FRACTIONS},
+    # An alias of sweep-alpha: --alpha is read as a value list.
+    "spectral": {**COMMON, "--alpha": FRACTIONS + GRIDS},
     "sweep-alpha": {**COMMON, "--alphas": GRIDS},
     "multislice": {"--dataset": DATASETS, "--alpha": FRACTIONS, "--gamma-grid": GAMMAS,
                    "--omega": OMEGAS, "--seed": SEEDS, "--out": OUTS},

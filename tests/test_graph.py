@@ -398,6 +398,10 @@ class TestSocialMatrixStorage:
         else:
             assert SocialMatrix.from_pairs(n, pairs_as(form, pairs)).pairs == canon
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(DataError, match="^negative matrix size$"):
+            SocialMatrix.from_pairs(-1, [])
+
     def test_pairs_not_shaped_as_pairs_rejected(self):
         with pytest.raises(DataError):
             SocialMatrix.from_pairs(4, [(0, 1, 2), (1, 2, 3)])

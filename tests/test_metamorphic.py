@@ -40,7 +40,7 @@ def test_contact_order_orientation_and_repeats_change_no_byte(dataset_dir, tmp_p
     dataset = tmp_path / "ds"
     shutil.copytree(dataset_dir, dataset)
     want = run_all(dataset, tmp_path / "want", COMMANDS)
-    assert len(want) == 5  # spectral writes no plot CSV
+    assert len(want) == 6  # a report and a plot CSV per command
 
     # The transform: permute the contact rows with default_rng(11), swap
     # the two ids of every second row of the result (rows 1, 3, 5, ...),
@@ -94,12 +94,12 @@ class TestLengthScale:
                     community["centroid"] = [c / self.SCALE for c in community["centroid"]]
             return report
 
-        assert want.keys() == got.keys() == {"spectral.json", "multislice.json",
-                                             "multislice.csv"}
-        for name in ("spectral.json", "multislice.json"):
-            assert json.loads(got[name]) != json.loads(want[name])
-            assert unscaled(json.loads(got[name])) == json.loads(want[name])
-        assert got["multislice.csv"] == want["multislice.csv"]
+        assert want.keys() == got.keys() == {"spectral.json", "spectral.csv",
+                                             "multislice.json", "multislice.csv"}
+        for name in ("spectral", "multislice"):
+            assert json.loads(got[f"{name}.json"]) != json.loads(want[f"{name}.json"])
+            assert unscaled(json.loads(got[f"{name}.json"])) == json.loads(want[f"{name}.json"])
+            assert got[f"{name}.csv"] == want[f"{name}.csv"]
 
 
 def _metric_values(node, path=()):

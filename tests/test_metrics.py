@@ -46,6 +46,10 @@ class TestPurity:
         with pytest.raises(DataError, match="^labels have length 2, partition 1$"):
             purity(np.array(["a", "b"]), np.array([0]))
 
+    def test_empty_labels(self):
+        with pytest.raises(DataError, match="^empty label vector$"):
+            purity(np.array([]), np.array([]))
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_index_permutation_invariance(self, seed):
@@ -153,6 +157,10 @@ class TestZRand:
             z_rand(labels, np.zeros(4, dtype=int))  # M1 = M
         with pytest.raises(DataError, match="^need more than one pair to standardize w$"):
             z_rand(np.array(["a", "a"]), np.array([0, 1]))  # M = 1
+        with pytest.raises(DataError, match=r"^z-Rand is undefined: all individuals share one "
+                                            r"label \(2 of 6 pairs share a community, "
+                                            r"6 share a label\)$"):
+            z_rand(np.array(list("aaaa")), np.array([0, 0, 1, 1]))  # M2 = M
 
     def test_closed_form_mean_matches_monte_carlo(self):
         rng = np.random.default_rng(4)
@@ -171,6 +179,10 @@ class TestDiagnostics:
         assert rep.degree_mean == 0.0
         assert rep.n_isolates == 5
         assert rep.intra_fraction is None
+
+    def test_label_count_must_match_matrix_size(self):
+        with pytest.raises(DataError, match="^labels do not match matrix size$"):
+            diagnostics(SocialMatrix.from_pairs(3, []), np.array(list("ab")))
 
     def test_hand_built_degrees(self):
         # degrees {2, 2, 1, 1, 0}: mean 1.2, max 2, one isolate

@@ -361,6 +361,11 @@ class TestKmeans:
         expected = ((pts - pts.mean(axis=0)) ** 2).sum()
         assert part.objective == pytest.approx(expected)
 
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_k_outside_point_count_rejected(self, k):
+        with pytest.raises(DataError, match=rf"^k_clusters={k} outside \[1, 12\]$"):
+            kmeans(np.zeros((12, 2)), k, seed=0)
+
     def test_k_equals_n_gives_singletons(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(12, 2))

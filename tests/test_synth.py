@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from geocluster import synth
 from geocluster.errors import DataError, NumericalError
+from geocluster.graph import SocialMatrix
 from geocluster.io import DatasetFiles, save_dataset
 from geocluster.metrics import diagnostics
 from geocluster.synth import (
@@ -127,6 +128,11 @@ class TestEquivalencePoint:
         _, social, labels = small_dataset
         expected = intra_contact_count(labels, social) / total_intra_pairs(labels)
         assert gt_equivalence_point(labels, social) == pytest.approx(expected)
+
+    def test_labels_without_a_shared_pair_rejected(self):
+        labels = np.array(list("abc"))
+        with pytest.raises(DataError, match="^labels admit no intra-group pairs$"):
+            gt_equivalence_point(labels, SocialMatrix.from_pairs(3, [(0, 1)]))
 
     def test_equivalence_means_equal_true_positive_count(self, small_dataset):
         _, social, labels = small_dataset
